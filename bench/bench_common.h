@@ -185,7 +185,9 @@ inline void add_common_flags(common::CliFlags& cli) {
                "recomputes every owned cell and overwrites its record");
   cli.add_string("shard", "",
                  "deterministic grid partition 'i/n': this run computes "
-                 "only cells with grid index % n == i ('' = whole grid). "
+                 "only the cells that greedy LPT over the static cost "
+                 "estimates assigns to shard i of n, so shards carry "
+                 "equal estimated cost ('' = whole grid). "
                  "Union the shard stores with the sweep_merge tool");
   cli.add_bool("list-scenarios", false,
                "print the scenario grid (index, owning shard, "

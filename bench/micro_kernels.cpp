@@ -375,8 +375,8 @@ std::string run_faulty_gemm_sweep() {
     // engine's cumulative counters around a single untimed run, so the
     // JSON carries deterministic per-run() numbers (the timed loops
     // above run an unknown number of iterations). Sanity invariant:
-    // vector + scalar + fallback columns plus reference_rows * n covers
-    // every output element exactly once.
+    // vector + scalar + fallback columns plus (real_rows +
+    // reference_rows) * n covers every output element exactly once.
     engine.set_force_scalar(false);
     const auto paths_before = engine.path_counts();
     const std::uint64_t steps_before = engine.accumulate_steps();
@@ -386,6 +386,8 @@ std::string run_faulty_gemm_sweep() {
     const unsigned long long scalar_cols = paths.scalar_cols - paths_before.scalar_cols;
     const unsigned long long fallback_cols =
         paths.fallback_cols - paths_before.fallback_cols;
+    const unsigned long long real_rows =
+        paths.real_rows - paths_before.real_rows;
     const unsigned long long reference_rows =
         paths.reference_rows - paths_before.reference_rows;
     const unsigned long long steps = engine.accumulate_steps() - steps_before;
@@ -398,10 +400,11 @@ std::string run_faulty_gemm_sweep() {
         "\"vector_ms\": %.4f, \"speedup\": %.2f, "
         "\"vector_mitems_per_s\": %.1f, \"vector_cols\": %llu, "
         "\"scalar_cols\": %llu, \"fallback_cols\": %llu, "
-        "\"reference_rows\": %llu, \"accumulate_steps\": %llu}%s\n",
+        "\"real_rows\": %llu, \"reference_rows\": %llu, "
+        "\"accumulate_steps\": %llu}%s\n",
         cs.mode, cs.array, cs.faults, m, k, n, scalar_ms, vector_ms,
         scalar_ms / vector_ms, items / (vector_ms * 1e3), vector_cols,
-        scalar_cols, fallback_cols, reference_rows, steps,
+        scalar_cols, fallback_cols, real_rows, reference_rows, steps,
         idx + 1 == cases.size() ? "" : ",");
     json += row;
     std::printf(

@@ -35,19 +35,6 @@ std::int32_t FixedFormat::quantize(double v) const {
   return static_cast<std::int32_t>(std::llround(scaled));
 }
 
-std::int32_t FixedFormat::saturate(std::int64_t wide) const {
-  if (wide > max_raw_) return max_raw_;
-  if (wide < min_raw_) return min_raw_;
-  return static_cast<std::int32_t>(wide);
-}
-
-std::int32_t FixedFormat::mul(std::int32_t a, std::int32_t b) const {
-  const std::int64_t prod = static_cast<std::int64_t>(a) * b;
-  // Round to nearest before dropping frac_bits.
-  const std::int64_t rounded = prod + (scale_ >> 1);
-  return saturate(rounded >> frac_bits_);
-}
-
 std::int32_t FixedFormat::sign_extend(std::uint32_t bits) const {
   bits &= word_mask_;
   if (total_bits_ == 32) return static_cast<std::int32_t>(bits);

@@ -50,7 +50,11 @@ class FixedFormat {
   }
 
   /// Clamp a wide intermediate into the representable raw range.
-  std::int32_t saturate(std::int64_t wide) const;
+  std::int32_t saturate(std::int64_t wide) const {
+    if (wide > max_raw_) return max_raw_;
+    if (wide < min_raw_) return min_raw_;
+    return static_cast<std::int32_t>(wide);
+  }
 
   /// Saturating raw addition (the PE accumulate step).
   std::int32_t add(std::int32_t a, std::int32_t b) const {
@@ -65,9 +69,13 @@ class FixedFormat {
   }
 
   /// Saturating fixed-point multiply with round-to-nearest.
-  /// Used only for the real-valued spike-encoder inputs (see DESIGN.md);
-  /// binary-spike layers never multiply.
-  std::int32_t mul(std::int32_t a, std::int32_t b) const;
+  /// Used only for real-valued activations (encoder pixels and
+  /// average-pooled spike rates); binary spikes never multiply.
+  std::int32_t mul(std::int32_t a, std::int32_t b) const {
+    const std::int64_t prod = static_cast<std::int64_t>(a) * b;
+    // Round to nearest before dropping frac_bits.
+    return saturate((prod + (scale_ >> 1)) >> frac_bits_);
+  }
 
   /// Overflow-headroom proof used by the faulty-GEMM fast path: a chain
   /// of saturating adds starting from 0 equals plain integer addition

@@ -64,6 +64,10 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& x, int t, Mode mode) {
   const int m = out_channels_;
   batch_ = n;
 
+  // The output outlives this call; the im2col and product buffers do not
+  // (outside training). Allocating the output first keeps the transient
+  // buffers above it on the heap, where freeing them leaves no hole.
+  tensor::Tensor out({n, m, geometry_.out_h(), geometry_.out_w()});
   tensor::Tensor cols({n * p, k});
   const std::size_t in_plane =
       static_cast<std::size_t>(in_channels_) * geometry_.in_h * geometry_.in_w;
@@ -80,7 +84,6 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& x, int t, Mode mode) {
           Layer::name());
 
   // Repack pixel-major rows into [N, Cout, OH, OW] and add bias.
-  tensor::Tensor out({n, m, geometry_.out_h(), geometry_.out_w()});
   for (int s = 0; s < n; ++s) {
     for (int pix = 0; pix < p; ++pix) {
       const float* row =

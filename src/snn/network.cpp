@@ -1,5 +1,6 @@
 #include "snn/network.h"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "tensor/tensor_ops.h"
@@ -7,18 +8,47 @@
 namespace falvolt::snn {
 
 tensor::Tensor Network::forward(const tensor::Tensor& x, int t, Mode mode) {
-  tensor::Tensor cur = x;
-  for (auto& l : layers_) cur = l->forward(cur, t, mode);
+  return forward_layers(x, t, mode, 0, layers_.size());
+}
+
+tensor::Tensor Network::forward_layers(tensor::Tensor cur, int t, Mode mode,
+                                       std::size_t lo, std::size_t hi) {
+  for (std::size_t i = lo; i < hi; ++i) cur = layers_[i]->forward(cur, t, mode);
   return cur;
 }
 
 tensor::Tensor Network::rate_forward(
     const std::vector<tensor::Tensor>& steps) {
   reset_state();
+  // The layers before the first spiking layer carry no state across time
+  // steps: their output is a function of the step input alone. A step
+  // whose input repeats the previous one byte for byte (MNIST frames are
+  // one image per step) reuses that output instead of recomputing it.
+  std::size_t prefix = 0;
+  while (prefix < layers_.size() && !layers_[prefix]->is_spiking()) ++prefix;
+  const auto same_bytes = [](const tensor::Tensor& a, const tensor::Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+  tensor::Tensor prefix_out;
+  bool reuse = false;
   tensor::Tensor sum;
   for (std::size_t t = 0; t < steps.size(); ++t) {
+    const int step = static_cast<int>(t);
+    if (!reuse) {
+      prefix_out = forward_layers(steps[t], step, Mode::kEval, 0, prefix);
+    }
+    reuse = t + 1 < steps.size() && same_bytes(steps[t + 1], steps[t]);
+    // The first spiking layer reads the prefix output, which is released
+    // right after unless the next step reuses it: a non-repeating
+    // sequence holds no more memory than a plain per-step forward.
     tensor::Tensor out =
-        forward(steps[t], static_cast<int>(t), Mode::kEval);
+        prefix < layers_.size()
+            ? layers_[prefix]->forward(prefix_out, step, Mode::kEval)
+            : prefix_out;
+    if (!reuse) prefix_out = tensor::Tensor();
+    out = forward_layers(std::move(out), step, Mode::kEval, prefix + 1,
+                         layers_.size());
     if (sum.empty()) {
       sum = std::move(out);
     } else {

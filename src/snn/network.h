@@ -49,6 +49,10 @@ class Network {
   /// hands the row-parallel compute pool N samples of rows at a time.
   /// Per-sample outputs are independent, so the result is bit-identical
   /// to forwarding the samples in any smaller batches.
+  /// The stateless prefix (the layers before the first spiking layer) is
+  /// skipped at a step whose input is bytewise equal to the previous
+  /// step's; its previous output is reused, so the result is
+  /// bit-identical to a plain per-step forward loop.
   tensor::Tensor rate_forward(const std::vector<tensor::Tensor>& steps);
 
   /// Backpropagate one time step through the reversed stack (call with t
@@ -92,6 +96,11 @@ class Network {
   std::size_t num_trainable_scalars();
 
  private:
+  /// Forward layers [lo, hi) at step t. The input is taken by value, so
+  /// a moved-in input is freed as soon as layer lo has consumed it.
+  tensor::Tensor forward_layers(tensor::Tensor cur, int t, Mode mode,
+                                std::size_t lo, std::size_t hi);
+
   std::string name_;
   std::vector<std::unique_ptr<Layer>> layers_;
 };

@@ -38,6 +38,24 @@ std::uint64_t hash_weights(const float* w, std::size_t count) {
   return h;
 }
 
+// The traversal of one output column: accumulation strictly before each
+// faulty position, then the faulty PE's own accumulate step, then its
+// corruption; finally the rest of the padded column. `segment(lo, hi)`
+// accumulates positions [lo, hi) into `acc`, visiting them in order.
+template <typename Events, typename Segment>
+void walk_column(const Events& events, int padded_k,
+                 const fx::FixedFormat& fmt, std::int32_t& acc,
+                 Segment&& segment) {
+  int cursor = 0;
+  for (const auto& ev : events) {
+    segment(cursor, ev.pos);
+    segment(ev.pos, ev.pos + 1);
+    acc = ev.bits.apply(acc, fmt);
+    cursor = ev.pos + 1;
+  }
+  segment(cursor, padded_k);
+}
+
 }  // namespace
 
 SystolicGemmEngine::SystolicGemmEngine(const ArrayConfig& cfg,
@@ -204,18 +222,38 @@ void SystolicGemmEngine::exact_binary_column(
     }
   };
 
-  if (events.empty()) {
-    accumulate_segment(0, plan.padded_k);
-  } else {
-    int cursor = 0;
-    for (const FaultEvent& ev : events) {
-      accumulate_segment(cursor, ev.pos);
-      accumulate_segment(ev.pos, ev.pos + 1);
-      acc = ev.bits.apply(acc, fmt);
-      cursor = ev.pos + 1;
+  walk_column(events, plan.padded_k, fmt, acc, accumulate_segment);
+  crow[j] = static_cast<float>(fmt.dequantize(acc));
+}
+
+void SystolicGemmEngine::real_column(const LayerPlan& plan,
+                                     const float* arow,
+                                     const std::vector<int>& nz,
+                                     const std::vector<std::int32_t>& qa,
+                                     int j, float* crow,
+                                     std::uint64_t& local_steps) const {
+  const fx::FixedFormat& fmt = cfg_.format;
+  const std::vector<FaultEvent>& events =
+      plan.pe_column_events[static_cast<std::size_t>(j % cfg_.cols)];
+  const std::int32_t* col =
+      plan.qweights_cols.data() + static_cast<std::size_t>(j) * plan.k;
+  const std::size_t count = nz.size();
+  std::size_t t = 0;  // segments arrive in ascending, contiguous order
+  std::int32_t acc = 0;
+
+  // The reference's per-step fixed multiply and saturating add, over the
+  // nonzero positions only (zero activations contribute no step there).
+  const auto accumulate_segment = [&](int, int hi) {
+    const int stop = std::min(hi, plan.k);  // padding rows hold w == 0
+    for (; t < count && nz[t] < stop; ++t) {
+      const int kk = nz[t];
+      std::int32_t contrib = col[kk];
+      if (arow[kk] != 1.0f) contrib = fmt.mul(contrib, qa[t]);
+      acc = fmt.add(acc, contrib);
+      ++local_steps;
     }
-    accumulate_segment(cursor, plan.padded_k);
-  }
+  };
+  walk_column(events, plan.padded_k, fmt, acc, accumulate_segment);
   crow[j] = static_cast<float>(fmt.dequantize(acc));
 }
 
@@ -226,13 +264,23 @@ void SystolicGemmEngine::run_rows(const LayerPlan& plan, const float* a,
   // Path-taken telemetry, accumulated locally like local_steps so the
   // hot loops pay plain increments and each worker publishes once.
   std::uint64_t local_vector = 0, local_scalar = 0, local_fallback = 0,
-                local_reference = 0;
+                local_real = 0, local_reference = 0;
   std::vector<int> nz;  // nonzero positions of the current row
   nz.reserve(static_cast<std::size_t>(plan.k));
+  std::vector<std::int32_t> qa;  // quantized activations at nz (real rows)
+  qa.reserve(static_cast<std::size_t>(plan.k));
 
   for (int i = i0; i < i1; ++i) {
     const float* arow = a + static_cast<std::size_t>(i) * plan.k;
     float* crow = c + static_cast<std::size_t>(i) * n;
+
+    if (force_scalar_) {
+      // The byte-for-byte oracle the FALVOLT_FORCE_SCALAR knob pins every
+      // row to.
+      reference_row(plan, arow, crow, n, local_steps);
+      ++local_reference;
+      continue;
+    }
 
     // One pass over the row: collect nonzero positions and detect
     // whether every nonzero activation is a binary spike (exactly 1.0f).
@@ -246,12 +294,16 @@ void SystolicGemmEngine::run_rows(const LayerPlan& plan, const float* a,
       nz.push_back(kk);
     }
 
-    if (force_scalar_ || !binary) {
-      // Real-valued activations need the per-step fixed multiply; the
-      // reference loop handles them (and is the byte-for-byte oracle the
-      // FALVOLT_FORCE_SCALAR knob pins every row to).
-      reference_row(plan, arow, crow, n, local_steps);
-      ++local_reference;
+    if (!binary) {
+      // Real-valued activations need the per-step fixed multiply. Their
+      // quantization does not depend on the column, so it is done once
+      // here and shared by every output column of the row.
+      qa.clear();
+      for (const int kk : nz) qa.push_back(fmt.quantize(arow[kk]));
+      for (int j = 0; j < n; ++j) {
+        real_column(plan, arow, nz, qa, j, crow, local_steps);
+      }
+      ++local_real;
       continue;
     }
 
@@ -301,6 +353,7 @@ void SystolicGemmEngine::run_rows(const LayerPlan& plan, const float* a,
   vector_cols_.fetch_add(local_vector, std::memory_order_relaxed);
   scalar_cols_.fetch_add(local_scalar, std::memory_order_relaxed);
   fallback_cols_.fetch_add(local_fallback, std::memory_order_relaxed);
+  real_rows_.fetch_add(local_real, std::memory_order_relaxed);
   reference_rows_.fetch_add(local_reference, std::memory_order_relaxed);
   // Fleet-wide mirrors of the same counts (obs/metrics.h), so the path
   // mix shows up in --metrics-json without threading engine pointers up
@@ -309,12 +362,14 @@ void SystolicGemmEngine::run_rows(const LayerPlan& plan, const float* a,
   static obs::Counter& g_scalar = obs::counter("kernel.faulty_gemm.scalar_cols");
   static obs::Counter& g_fallback =
       obs::counter("kernel.faulty_gemm.fallback_cols");
+  static obs::Counter& g_real = obs::counter("kernel.faulty_gemm.real_rows");
   static obs::Counter& g_reference =
       obs::counter("kernel.faulty_gemm.reference_rows");
   static obs::Counter& g_steps = obs::counter("kernel.faulty_gemm.steps");
   if (local_vector) g_vector.add(local_vector);
   if (local_scalar) g_scalar.add(local_scalar);
   if (local_fallback) g_fallback.add(local_fallback);
+  if (local_real) g_real.add(local_real);
   if (local_reference) g_reference.add(local_reference);
   if (local_steps) g_steps.add(local_steps);
 }

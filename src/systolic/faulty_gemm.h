@@ -24,10 +24,15 @@
 // the magnitude of the incoming partial sum, stays within the format's
 // raw bounds), the saturating add chain is replaced by plain int32 adds,
 // vectorized across groups of 8 output columns (compute/simd.h; AVX2 with
-// a bit-identical scalar fallback). Segments that might saturate, rows
-// with real-valued (non-binary-spike) activations, and builds with
-// FALVOLT_FORCE_SCALAR=1 take the exact serial reference loop, so the
-// fast path is always byte-for-byte checkable against it.
+// a bit-identical scalar fallback). Binary segments that might saturate
+// keep the saturating add chain, walking only the spike positions.
+// Rows with real-valued (non-binary-spike) activations — encoder pixels
+// and average-pooled spike rates — quantize each nonzero activation once
+// per row and then walk only those positions per column, through the
+// same event/segment order with the same saturating fixed multiply and
+// add as the reference. FALVOLT_FORCE_SCALAR=1 pins every row to the
+// exact serial reference loop, so each fast path is always byte-for-byte
+// checkable against it.
 //
 // Fault handling modes:
 //   kCorrupt — stuck bits corrupt the psum (the unmitigated chip);
@@ -90,13 +95,16 @@ class SystolicGemmEngine final : public snn::GemmEngine {
   ///   vector_cols     columns done 8-wide by accumulate_rows_i32x8
   ///   scalar_cols     fast-path remainder columns (plain scalar adds)
   ///   fallback_cols   exact_binary_column (runtime headroom checks)
-  ///   reference_rows  whole rows through the serial reference loop
-  /// Column counts cover binary-spike rows only; a reference row counts
-  /// once however many columns it holds.
+  ///   real_rows       real-valued rows, activations quantized once
+  ///   reference_rows  rows through the serial reference loop (only
+  ///                   under force_scalar)
+  /// Column counts cover binary-spike rows only; a real or reference
+  /// row counts once however many columns it holds.
   struct PathCounts {
     std::uint64_t vector_cols = 0;
     std::uint64_t scalar_cols = 0;
     std::uint64_t fallback_cols = 0;
+    std::uint64_t real_rows = 0;
     std::uint64_t reference_rows = 0;
   };
   PathCounts path_counts() const {
@@ -104,6 +112,7 @@ class SystolicGemmEngine final : public snn::GemmEngine {
     p.vector_cols = vector_cols_.load(std::memory_order_relaxed);
     p.scalar_cols = scalar_cols_.load(std::memory_order_relaxed);
     p.fallback_cols = fallback_cols_.load(std::memory_order_relaxed);
+    p.real_rows = real_rows_.load(std::memory_order_relaxed);
     p.reference_rows = reference_rows_.load(std::memory_order_relaxed);
     return p;
   }
@@ -152,6 +161,13 @@ class SystolicGemmEngine final : public snn::GemmEngine {
   void exact_binary_column(const LayerPlan& plan, const std::vector<int>& nz,
                            int j, float* crow,
                            std::uint64_t& local_steps) const;
+  /// One column of a real-valued row via the event/segment walk. `qa[t]`
+  /// is the quantized activation at position nz[t]; activations exactly
+  /// 1.0f add the weight unmultiplied, as in the reference.
+  void real_column(const LayerPlan& plan, const float* arow,
+                   const std::vector<int>& nz,
+                   const std::vector<std::int32_t>& qa, int j, float* crow,
+                   std::uint64_t& local_steps) const;
 
   ArrayConfig cfg_;
   const fault::FaultMap* map_;
@@ -163,6 +179,7 @@ class SystolicGemmEngine final : public snn::GemmEngine {
   std::atomic<std::uint64_t> vector_cols_{0};
   std::atomic<std::uint64_t> scalar_cols_{0};
   std::atomic<std::uint64_t> fallback_cols_{0};
+  std::atomic<std::uint64_t> real_rows_{0};
   std::atomic<std::uint64_t> reference_rows_{0};
 };
 

@@ -1,8 +1,44 @@
 #include "tensor/im2col.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace falvolt::tensor {
+
+namespace {
+
+// Kernel taps [lo, hi) of one axis that land inside the image for output
+// coordinate `o`: tap k reads input coordinate o*stride + k - pad.
+struct TapRange {
+  int lo;
+  int hi;
+};
+
+TapRange valid_taps(int o, int stride, int pad, int kernel, int in) {
+  const int origin = o * stride - pad;
+  return {std::max(0, -origin), std::min(kernel, in - origin)};
+}
+
+// Visit every in-image (column, input offset) pair of the im2col row of
+// output pixel (oy, ox) in column order: channel, then ky, then kx.
+template <typename Visit>
+void for_each_tap(const ConvGeometry& g, int oy, int ox, Visit&& visit) {
+  const TapRange ys = valid_taps(oy, g.stride, g.pad, g.kernel_h, g.in_h);
+  const TapRange xs = valid_taps(ox, g.stride, g.pad, g.kernel_w, g.in_w);
+  const int iy0 = oy * g.stride - g.pad;
+  const int ix0 = ox * g.stride - g.pad;
+  const std::size_t plane = static_cast<std::size_t>(g.in_h) * g.in_w;
+  for (int c = 0; c < g.in_channels; ++c) {
+    for (int ky = ys.lo; ky < ys.hi; ++ky) {
+      const int col = (c * g.kernel_h + ky) * g.kernel_w;
+      const std::size_t in =
+          c * plane + static_cast<std::size_t>(iy0 + ky) * g.in_w + ix0;
+      for (int kx = xs.lo; kx < xs.hi; ++kx) visit(col + kx, in + kx);
+    }
+  }
+}
+
+}  // namespace
 
 void im2col(const float* input, const ConvGeometry& g, float* out) {
   const int oh = g.out_h();
@@ -13,20 +49,9 @@ void im2col(const float* input, const ConvGeometry& g, float* out) {
   for (int oy = 0; oy < oh; ++oy) {
     for (int ox = 0; ox < ow; ++ox) {
       float* row = out + (static_cast<std::size_t>(oy) * ow + ox) * patch;
-      int col = 0;
-      for (int c = 0; c < g.in_channels; ++c) {
-        const float* plane =
-            input + static_cast<std::size_t>(c) * g.in_h * g.in_w;
-        for (int ky = 0; ky < g.kernel_h; ++ky) {
-          const int iy = oy * g.stride + ky - g.pad;
-          for (int kx = 0; kx < g.kernel_w; ++kx, ++col) {
-            const int ix = ox * g.stride + kx - g.pad;
-            if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w) {
-              row[col] = plane[static_cast<std::size_t>(iy) * g.in_w + ix];
-            }
-          }
-        }
-      }
+      for_each_tap(g, oy, ox, [&](int col, std::size_t in) {
+        row[col] = input[in];
+      });
     }
   }
 }
@@ -39,20 +64,9 @@ void col2im(const float* cols, const ConvGeometry& g, float* grad_input) {
     for (int ox = 0; ox < ow; ++ox) {
       const float* row =
           cols + (static_cast<std::size_t>(oy) * ow + ox) * patch;
-      int col = 0;
-      for (int c = 0; c < g.in_channels; ++c) {
-        float* plane =
-            grad_input + static_cast<std::size_t>(c) * g.in_h * g.in_w;
-        for (int ky = 0; ky < g.kernel_h; ++ky) {
-          const int iy = oy * g.stride + ky - g.pad;
-          for (int kx = 0; kx < g.kernel_w; ++kx, ++col) {
-            const int ix = ox * g.stride + kx - g.pad;
-            if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w) {
-              plane[static_cast<std::size_t>(iy) * g.in_w + ix] += row[col];
-            }
-          }
-        }
-      }
+      for_each_tap(g, oy, ox, [&](int col, std::size_t in) {
+        grad_input[in] += row[col];
+      });
     }
   }
 }

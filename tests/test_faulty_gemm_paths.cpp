@@ -3,7 +3,8 @@
 // the same engine must produce byte-for-byte identical output tables
 // and identical accumulate_steps telemetry on both paths, across fault
 // handling modes, fixed-point formats that straddle the overflow
-// headroom proof, folding/padding shapes, and activation kinds.
+// headroom proof, folding/padding shapes, and activation kinds (binary
+// spikes, encoder pixels, average-pooled spike rates).
 
 #include <gtest/gtest.h>
 
@@ -36,9 +37,20 @@ struct PathCase {
   tensor::Tensor w;
 };
 
-// Run the case on a fresh engine twice — vectorized then forced-scalar —
-// and require byte-identical tables and equal step telemetry.
-void expect_paths_identical(const PathCase& pc) {
+// Average-pooled spike rates of a 2x2 pool: each activation is one of
+// {0, 0.25, 0.5, 0.75, 1}, so rows mix exact zeros, exact 1.0f and
+// real values — the Conv2/FC1 input mix of the digit classifier.
+tensor::Tensor pooled_rates(int m, int k, common::Rng& rng) {
+  tensor::Tensor a({m, k});
+  for (auto& v : a) v = 0.25f * static_cast<float>(rng.uniform_int(0, 4));
+  return a;
+}
+
+// Run the case on a fresh engine twice — fast paths then forced-scalar —
+// and require byte-identical tables and equal step telemetry. Only the
+// forced run may use the serial reference loop. Returns the fast run's
+// path counts.
+SystolicGemmEngine::PathCounts expect_paths_identical(const PathCase& pc) {
   const int m = pc.a.shape()[0], k = pc.a.shape()[1], n = pc.w.shape()[1];
   SystolicGemmEngine engine(pc.cfg, pc.map, pc.handling);
   tensor::Tensor c_vec({m, n});
@@ -46,16 +58,21 @@ void expect_paths_identical(const PathCase& pc) {
   const std::uint64_t s0 = engine.accumulate_steps();
   engine.run(pc.a.data(), pc.w.data(), c_vec.data(), m, k, n, "L");
   const std::uint64_t vec_steps = engine.accumulate_steps() - s0;
+  const SystolicGemmEngine::PathCounts fast = engine.path_counts();
+  EXPECT_EQ(fast.reference_rows, 0u);
 
   tensor::Tensor c_ref({m, n});
   engine.set_force_scalar(true);
   const std::uint64_t s1 = engine.accumulate_steps();
   engine.run(pc.a.data(), pc.w.data(), c_ref.data(), m, k, n, "L");
   const std::uint64_t ref_steps = engine.accumulate_steps() - s1;
+  EXPECT_EQ(engine.path_counts().reference_rows,
+            static_cast<std::uint64_t>(m));
 
   EXPECT_EQ(0, std::memcmp(c_vec.data(), c_ref.data(),
                            static_cast<std::size_t>(m) * n * sizeof(float)));
   EXPECT_EQ(vec_steps, ref_steps);
+  return fast;
 }
 
 TEST(FaultyGemmPaths, CleanChipBinarySpikes) {
@@ -164,7 +181,7 @@ TEST(FaultyGemmPaths, PaddingKSmallerThanRows) {
   expect_paths_identical(pc);
 }
 
-TEST(FaultyGemmPaths, RealValuedActivationsTakeReferenceBothWays) {
+TEST(FaultyGemmPaths, RealValuedActivationsQuantizedOncePerRow) {
   common::Rng rng(36);
   ArrayConfig cfg;
   cfg.rows = cfg.cols = 8;
@@ -173,8 +190,62 @@ TEST(FaultyGemmPaths, RealValuedActivationsTakeReferenceBothWays) {
   PathCase pc;
   pc.cfg = cfg;
   pc.map = &map;
-  pc.a = random_tensor({7, 30}, rng, 0.0, 1.0);  // encoder-style rates
+  pc.a = random_tensor({7, 30}, rng, 0.0, 1.0);  // encoder-style pixels
   pc.w = random_tensor({30, 9}, rng, -0.5, 0.5);
+  EXPECT_EQ(expect_paths_identical(pc).real_rows, 7u);
+}
+
+TEST(FaultyGemmPaths, PooledRateRowsMixZerosOnesAndRates) {
+  common::Rng rng(40);
+  PathCase pc;
+  pc.cfg.rows = pc.cfg.cols = 8;
+  pc.a = pooled_rates(12, 36, rng);
+  pc.w = random_tensor({36, 11}, rng, -0.5, 0.5);
+  const SystolicGemmEngine::PathCounts fast = expect_paths_identical(pc);
+  // A row of only zeros and ones is binary; with 36 draws from five
+  // values every row here holds a real rate.
+  EXPECT_EQ(fast.real_rows, 12u);
+  EXPECT_EQ(fast.vector_cols + fast.scalar_cols + fast.fallback_cols, 0u);
+}
+
+TEST(FaultyGemmPaths, PooledRateRowsWorstCaseFaultsFolding) {
+  // k = 75 on a 16x16 array folds the psum over 5 tiles; the worst-case
+  // map puts an event on most PE columns, in both handling modes.
+  for (std::uint64_t seed = 41; seed < 44; ++seed) {
+    common::Rng rng(seed);
+    ArrayConfig cfg;
+    cfg.rows = cfg.cols = 16;
+    const fault::FaultMap map = fault::random_fault_map(
+        16, 16, 24, fault::worst_case_spec(cfg.format.total_bits()), rng);
+    for (const auto handling :
+         {SystolicGemmEngine::FaultHandling::kCorrupt,
+          SystolicGemmEngine::FaultHandling::kBypass}) {
+      PathCase pc;
+      pc.cfg = cfg;
+      pc.map = &map;
+      pc.handling = handling;
+      pc.a = pooled_rates(10, 75, rng);
+      pc.w = random_tensor({75, 21}, rng, -0.8, 0.8);
+      expect_paths_identical(pc);
+    }
+  }
+}
+
+TEST(FaultyGemmPaths, PooledRateRowsNarrowFormatSaturates) {
+  // 10-bit Q5.4 (max_raw = 511): weights in [1.0, 1.9] (q = 16..30)
+  // over 64 inputs at rates up to 1 drive the accumulate chain far past
+  // the raw bound, so most steps saturate.
+  common::Rng rng(44);
+  PathCase pc;
+  pc.cfg.rows = pc.cfg.cols = 8;
+  pc.cfg.format = fx::FixedFormat(10, 4);
+  pc.a = pooled_rates(6, 64, rng);
+  pc.w = random_tensor({64, 9}, rng, 1.0, 1.9);
+  expect_paths_identical(pc);
+  // Q0.7 cannot represent 1.0 (it quantizes to 127/128), so a 1.0f
+  // activation must add its weight unmultiplied, as in the reference.
+  pc.cfg.format = fx::FixedFormat(8, 7);
+  pc.w = random_tensor({64, 9}, rng, -0.9, 0.9);
   expect_paths_identical(pc);
 }
 
@@ -228,21 +299,25 @@ TEST(FaultyGemmPaths, ThreadedRunMatchesSerialOnBothPaths) {
   cfg.rows = cfg.cols = 8;
   const fault::FaultMap map = fault::random_fault_map(
       8, 8, 5, fault::worst_case_spec(cfg.format.total_bits()), rng);
-  const tensor::Tensor a = random_spikes(33, 40, rng);
-  const tensor::Tensor w = random_tensor({40, 12}, rng, -0.5, 0.5);
-  for (const bool scalar : {false, true}) {
-    SystolicGemmEngine serial(cfg, &map);
-    serial.set_threads(1);
-    serial.set_force_scalar(scalar);
-    tensor::Tensor c1({33, 12});
-    serial.run(a.data(), w.data(), c1.data(), 33, 40, 12, "L");
-    SystolicGemmEngine pooled(cfg, &map);
-    pooled.set_threads(4);
-    pooled.set_force_scalar(scalar);
-    tensor::Tensor c2({33, 12});
-    pooled.run(a.data(), w.data(), c2.data(), 33, 40, 12, "L");
-    EXPECT_EQ(0, std::memcmp(c1.data(), c2.data(),
-                             33u * 12u * sizeof(float)));
+  // Binary spike rows, then pooled-rate rows (the real-row path).
+  for (const tensor::Tensor& a :
+       {random_spikes(33, 40, rng), pooled_rates(33, 40, rng)}) {
+    const tensor::Tensor w = random_tensor({40, 12}, rng, -0.5, 0.5);
+    for (const bool scalar : {false, true}) {
+      SystolicGemmEngine serial(cfg, &map);
+      serial.set_threads(1);
+      serial.set_force_scalar(scalar);
+      tensor::Tensor c1({33, 12});
+      serial.run(a.data(), w.data(), c1.data(), 33, 40, 12, "L");
+      SystolicGemmEngine pooled(cfg, &map);
+      pooled.set_threads(4);
+      pooled.set_force_scalar(scalar);
+      tensor::Tensor c2({33, 12});
+      pooled.run(a.data(), w.data(), c2.data(), 33, 40, 12, "L");
+      EXPECT_EQ(0, std::memcmp(c1.data(), c2.data(),
+                               33u * 12u * sizeof(float)));
+      EXPECT_EQ(serial.accumulate_steps(), pooled.accumulate_steps());
+    }
   }
 }
 

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "fault/fault_generator.h"
 #include "snn/conv2d.h"
 #include "snn/flatten.h"
 #include "snn/linear.h"
 #include "snn/model_zoo.h"
 #include "snn/plif.h"
+#include "systolic/faulty_gemm.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 
@@ -121,6 +125,89 @@ TEST(Network, NumTrainableScalarsExcludesFrozen) {
   // vth params were already counted? They are Params with trainable flag;
   // enabling training on 2 hidden layers adds 2 scalars.
   EXPECT_EQ(net.num_trainable_scalars(), all + 2);
+}
+
+// rate_forward's reference: a plain per-step forward loop over every
+// layer, summing the outputs and dividing by T.
+tensor::Tensor manual_rate(Network& net,
+                           const std::vector<tensor::Tensor>& steps) {
+  net.reset_state();
+  tensor::Tensor sum;
+  for (std::size_t t = 0; t < steps.size(); ++t) {
+    tensor::Tensor out =
+        net.forward(steps[t], static_cast<int>(t), Mode::kEval);
+    if (sum.empty()) {
+      sum = std::move(out);
+    } else {
+      tensor::add_inplace(sum, out);
+    }
+  }
+  tensor::scale_inplace(sum, 1.0f / static_cast<float>(steps.size()));
+  return sum;
+}
+
+bool same_bytes(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(Network, RateForwardHoistingMatchesPerStepLoop) {
+  // The digit classifier's stateless prefix is SEncConv. Its output is
+  // reused at a step whose input repeats the previous one bytewise; the
+  // result must equal the per-step loop bit for bit on the float engine
+  // and on a faulty systolic engine, whatever the step pattern.
+  // A low threshold makes the untrained network spike through to the
+  // output layer, so the comparison below is not between all-zero rates.
+  ZooConfig zc;
+  zc.initial_vth = 0.1f;
+  Network net = make_digit_classifier("digit", 1, 16, 10, zc);
+  common::Rng rng(9);
+  const tensor::Tensor a =
+      falvolt::testutil::random_tensor({3, 1, 16, 16}, rng, 0.0, 1.0);
+  const tensor::Tensor b =
+      falvolt::testutil::random_tensor({3, 1, 16, 16}, rng, 0.0, 1.0);
+  const tensor::Tensor c =
+      falvolt::testutil::random_tensor({3, 1, 16, 16}, rng, 0.0, 1.0);
+  const tensor::Tensor d =
+      falvolt::testutil::random_tensor({3, 1, 16, 16}, rng, 0.0, 1.0);
+  const std::vector<std::vector<tensor::Tensor>> patterns = {
+      {a, a, a, a},  // all identical: 3 of 4 SEncConv passes skipped
+      {a, b, c, d},  // all different: nothing skipped
+      {a, a, b, b},  // breaks and resumes: 2 skipped
+  };
+
+  systolic::ArrayConfig cfg;
+  cfg.rows = cfg.cols = 8;
+  common::Rng fault_rng(10);
+  const fault::FaultMap map = fault::random_fault_map(
+      8, 8, 6, fault::worst_case_spec(cfg.format.total_bits()), fault_rng);
+  systolic::SystolicGemmEngine engine(cfg, &map);
+
+  for (snn::GemmEngine* eng :
+       {static_cast<snn::GemmEngine*>(nullptr),
+        static_cast<snn::GemmEngine*>(&engine)}) {
+    net.set_gemm_engine(eng);
+    for (const auto& steps : patterns) {
+      const tensor::Tensor rate = net.rate_forward(steps);
+      EXPECT_GT(tensor::count_nonzero(rate), 0u);
+      EXPECT_TRUE(same_bytes(rate, manual_rate(net, steps)));
+    }
+  }
+
+  // With all steps identical, the hoisted run executes exactly three
+  // fewer SEncConv GEMMs than the per-step loop.
+  net.set_gemm_engine(&engine);
+  const std::uint64_t s0 = engine.accumulate_steps();
+  net.layer(0).forward(a, 0, Mode::kEval);
+  const std::uint64_t senc_steps = engine.accumulate_steps() - s0;
+  ASSERT_GT(senc_steps, 0u);
+  const std::uint64_t s1 = engine.accumulate_steps();
+  net.rate_forward(patterns[0]);
+  const std::uint64_t s2 = engine.accumulate_steps();
+  manual_rate(net, patterns[0]);
+  const std::uint64_t s3 = engine.accumulate_steps();
+  EXPECT_EQ((s3 - s2) - (s2 - s1), 3 * senc_steps);
+  net.set_gemm_engine(nullptr);
 }
 
 TEST(ModelZoo, DigitClassifierShapes) {
