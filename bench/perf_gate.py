@@ -102,38 +102,27 @@ def warn_abs(label, base, cur, tolerance, warnings):
 
 def fleet_metric_warnings(base_m, cur_m, tolerance, warnings):
     """Warn-only comparison of two fleet metrics blocks: the store hit
-    rate (cells replayed instead of recomputed) and the faulty-GEMM
-    vector-path share (columns taking the 8-wide fast path). Both are
-    ratios of counters from the same run, so they are machine-portable —
-    but a fleet's hit rate legitimately changes with the store's warmth,
-    hence warn-only, never gated. Returns True if anything printed."""
-
-    def hit_rate(m):
-        hits = sum(v for k, v in m.items()
-                   if k.startswith("store.chain.layer") and k.endswith(".hit"))
-        total = hits + m.get("store.chain.miss", 0)
-        return hits / total if total else None
-
-    def vector_share(m):
-        vec = m.get("kernel.faulty_gemm.vector_cols", 0)
-        total = (vec + m.get("kernel.faulty_gemm.scalar_cols", 0) +
-                 m.get("kernel.faulty_gemm.fallback_cols", 0))
-        return vec / total if total else None
-
-    printed = False
-    for label, rate in (("fleet store hit rate", hit_rate),
-                        ("faulty_gemm vector-path share", vector_share)):
-        b, c = rate(base_m), rate(cur_m)
-        if b is None or c is None:
-            continue
-        printed = True
-        if b - c > tolerance * max(b, 1e-9):
-            print(f"  [      warn] {label}: {b:.1%} -> {c:.1%} "
-                  f"(dropped beyond {tolerance:.0%} — not gated)")
-            warnings.append(label)
-        else:
-            print(f"  [        ok] {label}: {b:.1%} -> {c:.1%}")
-    return printed
+    rate (cells replayed instead of recomputed). It is a ratio of
+    counters from the same run, so it is machine-portable — but a fleet's
+    hit rate legitimately changes with the store's warmth, hence
+    warn-only, never gated. Returns True if anything printed."""
+    hits = {}
+    for name, m in (("base", base_m), ("cur", cur_m)):
+        h = sum(v for k, v in m.items()
+                if k.startswith("store.chain.layer") and k.endswith(".hit"))
+        total = h + m.get("store.chain.miss", 0)
+        hits[name] = h / total if total else None
+    b, c = hits["base"], hits["cur"]
+    if b is None or c is None:
+        return False
+    label = "fleet store hit rate"
+    if b - c > tolerance * max(b, 1e-9):
+        print(f"  [      warn] {label}: {b:.1%} -> {c:.1%} "
+              f"(dropped beyond {tolerance:.0%} — not gated)")
+        warnings.append(label)
+    else:
+        print(f"  [        ok] {label}: {b:.1%} -> {c:.1%}")
+    return True
 
 
 def main():
@@ -169,7 +158,7 @@ def main():
         }
         # The fleet telemetry block (sweep_fleet --json "metrics"): flat
         # name -> count samples. Carried into the uploaded artifact and
-        # used for the warn-only store/kernel checks below. Older fleet
+        # used for the warn-only store hit-rate check below. Older fleet
         # JSONs (and the committed baseline) may predate it — absence is
         # fine, the checks just skip.
         if isinstance(fleet.get("metrics"), dict):
@@ -225,7 +214,7 @@ def main():
     if not warnings:
         print("  (none)")
 
-    print("fleet telemetry (store hit rate, kernel path mix — warn only):")
+    print("fleet telemetry (store hit rate — warn only):")
     base_m = (base.get("fleet") or {}).get("metrics")
     cur_m = (cur.get("fleet") or {}).get("metrics")
     if isinstance(base_m, dict) and isinstance(cur_m, dict):

@@ -20,6 +20,12 @@ constexpr int kNr = 8;
 // while the micro-kernel streams over it.
 constexpr int kKc = 256;
 
+// gemm_a_bt_blocked takes the lane kernel only below this depth. GCC -O3
+// with AVX2+FMA compiles the scalar dot for k >= 32 into a vectorized
+// main body that does unfused mul+add over the first 32*floor(k/32)
+// terms; below 32 it is four pure FMA chains, which the lanes reproduce.
+constexpr int kLaneMaxK = 32;
+
 // Row-parallel work is split at this many output rows per chunk.
 constexpr int kRowGrain = 16;
 // Problems below this many multiply-adds never leave the calling thread.
@@ -86,6 +92,28 @@ inline Vf8 load8(const float* p) {
 }
 inline void store8(float* p, const Vf8& v) {
   __builtin_memcpy(p, &v, sizeof(Vf8));
+}
+
+// Lane form of gemm_a_bt_blocked's dot product: output columns
+// j .. j+7 of one row at once, bt = B^T packed [k x n]. Lane l runs the
+// scalar loop's exact operations for column j+l — four partial sums over
+// kk += 4, the k % 4 tail into s0, the (s0+s1)+(s2+s3) combine — so the
+// result is bitwise the scalar loop's whenever both compile to the same
+// per-term arithmetic (see kLaneMaxK).
+inline void a_bt_lanes(const float* arow, const float* bt, float* crow, int k,
+                       int n, int j) {
+  Vf8 s0{}, s1{}, s2{}, s3{};
+  const float* col = bt + j;
+  const std::size_t ld = static_cast<std::size_t>(n);
+  int kk = 0;
+  for (; kk + 4 <= k; kk += 4) {
+    s0 += arow[kk] * load8(col + kk * ld);
+    s1 += arow[kk + 1] * load8(col + (kk + 1) * ld);
+    s2 += arow[kk + 2] * load8(col + (kk + 2) * ld);
+    s3 += arow[kk + 3] * load8(col + (kk + 3) * ld);
+  }
+  for (; kk < k; ++kk) s0 += arow[kk] * load8(col + kk * ld);
+  store8(crow + j, load8(crow + j) + ((s0 + s1) + (s2 + s3)));
 }
 
 // Full 8x8 micro-tile: eight named accumulator vectors (one per output
@@ -307,13 +335,31 @@ void gemm_a_bt_blocked(const float* a, const float* b, float* c, int m,
   // product; the combine order is fixed, so results are identical across
   // tilings and thread counts.
   constexpr int kJb = 128;  // B rows revisited per i sweep (L2-resident)
+  // Columns [0, nv) take the lane kernel over B^T packed once per call;
+  // the n % 8 rest, and every column when k >= kLaneMaxK, the scalar dot.
+#if FALVOLT_VECTOR_KERNEL
+  const int nv = k < kLaneMaxK ? n - n % kNr : 0;
+#else
+  const int nv = 0;
+#endif
+  std::vector<float> bt;
+  if (nv > 0) {
+    bt.resize(static_cast<std::size_t>(k) * n);
+    transpose(b, bt.data(), n, k);
+  }
   const auto rows = [&](int i0, int i1) {
     for (int j0 = 0; j0 < n; j0 += kJb) {
       const int j1 = std::min(j0 + kJb, n);
       for (int i = i0; i < i1; ++i) {
         const float* arow = a + static_cast<std::size_t>(i) * k;
         float* crow = c + static_cast<std::size_t>(i) * n;
-        for (int j = j0; j < j1; ++j) {
+        int j = j0;
+#if FALVOLT_VECTOR_KERNEL
+        for (; j < std::min(j1, nv); j += kNr) {
+          a_bt_lanes(arow, bt.data(), crow, k, n, j);
+        }
+#endif
+        for (; j < j1; ++j) {
           const float* brow = b + static_cast<std::size_t>(j) * k;
           float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
           int kk = 0;
@@ -343,11 +389,13 @@ void gemm_auto(const float* a, const float* b, float* c, int m, int k,
       static_cast<long long>(m) * k * n;
   const bool parallel =
       parallel_worthwhile(m, flops) && global_threads() > 1;
-  // Narrow or tiny problems — and sparse spike inputs, where the
-  // zero-skip path drops most of the work — stay on the naive kernel.
-  const bool use_blocked = n >= kNr && k >= kNr && m >= kMr &&
-                           flops >= 1LL << 14 &&
-                           sampled_density(a, m, k) >= 0.2;
+  // Narrow or tiny problems stay on the naive kernel. Within one K panel
+  // and without accumulate, blocked is bitwise equal to naive at any
+  // sparsity (see the header), so only outside that case does the
+  // zero-skip kernel keep sparse spike inputs.
+  const bool use_blocked =
+      n >= kNr && k >= kNr && m >= kMr && flops >= 1LL << 14 &&
+      ((!accumulate && k <= kKc) || sampled_density(a, m, k) >= 0.2);
   if (use_blocked) {
     gemm_blocked(a, b, c, m, k, n, accumulate, parallel ? global_threads() : 1);
     return;

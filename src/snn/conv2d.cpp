@@ -105,7 +105,7 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& x, int t, Mode mode) {
   return out;
 }
 
-tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_out, int t) {
+tensor::Tensor Conv2d::param_grads(const tensor::Tensor& grad_out, int t) {
   if (t < 0 || t >= static_cast<int>(cols_hist_.size())) {
     throw std::logic_error("Conv2d::backward: no cache for this time step");
   }
@@ -144,6 +144,19 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_out, int t) {
       }
     }
   }
+  return g;
+}
+
+void Conv2d::accumulate_param_grads(const tensor::Tensor& grad_out, int t) {
+  param_grads(grad_out, t);
+}
+
+tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_out, int t) {
+  const tensor::Tensor g = param_grads(grad_out, t);
+  const int n = batch_;
+  const int p = geometry_.out_pixels();
+  const int k = geometry_.patch_size();
+  const int m = out_channels_;
 
   // Input gradient: dCols[n*p x k] = G * W^T, then col2im per sample.
   tensor::Tensor dcols({n * p, k});

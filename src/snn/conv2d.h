@@ -23,6 +23,8 @@ class Conv2d final : public Layer, public MatmulLayer {
 
   tensor::Tensor forward(const tensor::Tensor& x, int t, Mode mode) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out, int t) override;
+  /// Weight/bias grads only: skips the dCols GEMM and col2im.
+  void accumulate_param_grads(const tensor::Tensor& grad_out, int t) override;
   void reset_state() override;
   std::vector<Param*> params() override;
 
@@ -39,6 +41,9 @@ class Conv2d final : public Layer, public MatmulLayer {
 
  private:
   void bind_geometry(const tensor::Tensor& x);
+  /// Accumulate weight/bias grads for step t; returns grad_out repacked
+  /// pixel-major as G [N*OH*OW, Cout].
+  tensor::Tensor param_grads(const tensor::Tensor& grad_out, int t);
 
   int in_channels_;
   int out_channels_;

@@ -4,7 +4,9 @@
 // Execution model: the trainer resets all layer state, then runs
 // `forward(x, t)` for t = 0..T-1 through the whole stack, accumulates
 // output spikes, computes the loss on the mean firing rate, and finally
-// runs `backward(grad, t)` for t = T-1..0 through the reversed stack.
+// runs `backward(grad, t)` for t = T-1..0 through the reversed stack
+// (the first layer gets `accumulate_param_grads`, since no caller reads
+// the gradient w.r.t. the network input).
 // Layers cache whatever they need per time step during forward; stateful
 // (spiking) layers also carry gradients backward through their membrane
 // potential between consecutive backward(t) calls.
@@ -65,6 +67,13 @@ class Layer {
   /// Propagate the loss gradient for time step t; must be called with t
   /// decreasing from T-1. Accumulates into parameter grads.
   virtual tensor::Tensor backward(const tensor::Tensor& grad_out, int t) = 0;
+
+  /// backward() for a layer whose input gradient nobody reads (the first
+  /// layer of a network): accumulates the same parameter grads and may
+  /// skip computing the input gradient. The default runs backward().
+  virtual void accumulate_param_grads(const tensor::Tensor& grad_out, int t) {
+    backward(grad_out, t);
+  }
 
   /// Clear temporal state and per-step caches (start of a new sequence).
   virtual void reset_state() {}

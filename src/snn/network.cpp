@@ -61,12 +61,13 @@ tensor::Tensor Network::rate_forward(
   return sum;
 }
 
-tensor::Tensor Network::backward(const tensor::Tensor& grad_out, int t) {
+void Network::backward(const tensor::Tensor& grad_out, int t) {
+  if (layers_.empty()) return;
   tensor::Tensor cur = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    cur = (*it)->backward(cur, t);
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    cur = layers_[i]->backward(cur, t);
   }
-  return cur;
+  layers_[0]->accumulate_param_grads(cur, t);
 }
 
 void Network::reset_state() {

@@ -56,8 +56,10 @@ class Network {
   tensor::Tensor rate_forward(const std::vector<tensor::Tensor>& steps);
 
   /// Backpropagate one time step through the reversed stack (call with t
-  /// descending). Returns the gradient w.r.t. the step input.
-  tensor::Tensor backward(const tensor::Tensor& grad_out, int t);
+  /// descending), accumulating every parameter gradient. The gradient
+  /// w.r.t. the step input is not computed: the first layer runs
+  /// Layer::accumulate_param_grads.
+  void backward(const tensor::Tensor& grad_out, int t);
 
   /// Reset temporal state and caches on every layer.
   void reset_state();

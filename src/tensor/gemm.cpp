@@ -7,10 +7,13 @@
 namespace falvolt::tensor {
 
 // The tensor-level entry points are thin wrappers over the unified
-// compute backend: the auto dispatchers pick the zero-skip naive kernel
-// for small/sparse problems and the cache-blocked (optionally
-// pool-parallel) kernels for large dense ones. Conv2d, Linear, and the
-// trainer's backward pass all route through here.
+// compute backend. The auto dispatchers pick the naive kernels for small
+// or narrow problems and the cache-blocked (optionally pool-parallel)
+// ones otherwise. A forward GEMM with k <= 256 and no accumulate goes to
+// blocked at any sparsity, because there blocked is bitwise equal to the
+// zero-skip naive kernel; outside that case sparse spike inputs
+// (sampled density < 0.2) keep the zero-skip kernel. Conv2d, Linear, and
+// the trainer's backward pass all route through here.
 
 void gemm(const float* a, const float* b, float* c, int m, int k, int n,
           bool accumulate) {

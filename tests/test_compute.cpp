@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -265,6 +267,146 @@ TEST(Determinism, TensorWrappersBitIdenticalAcrossThreadCounts) {
     tensor::gemm(a.data(), b.data(), c4.data(), m, k, n);
   }
   expect_bit_identical(c1, c4);
+}
+
+// -------------------------------------------------- cross-tier identity
+//
+// gemm_auto sends sparse spike inputs to the blocked kernel because,
+// within one K panel (k <= 256) and without accumulate, blocked is bitwise
+// equal to the zero-skip naive kernel at any density.
+
+// A [m x k] with nonzero entries at rate `density`: ones (spikes) or
+// values in [-1, 1] (pixels, pooled rates).
+tensor::Tensor sparse_activations(int m, int k, double density, bool binary,
+                                  common::Rng& rng) {
+  tensor::Tensor a({m, k});
+  for (auto& v : a) {
+    const bool nz = rng.bernoulli(density);
+    const float x = static_cast<float>(rng.uniform(-1.0, 1.0));
+    v = nz ? (binary ? 1.0f : x) : 0.0f;
+  }
+  return a;
+}
+
+// C = A B on the first m rows of `a` and the [k x n] matrix `b`.
+void expect_blocked_equals_naive(const tensor::Tensor& a,
+                                 const tensor::Tensor& b, int m, int k, int n,
+                                 const std::string& what) {
+  tensor::Tensor naive({m, n});
+  tensor::Tensor blocked({m, n});
+  gemm_naive(a.data(), b.data(), naive.data(), m, k, n);
+  gemm_blocked(a.data(), b.data(), blocked.data(), m, k, n);
+  ASSERT_EQ(std::memcmp(naive.data(), blocked.data(),
+                        naive.size() * sizeof(float)),
+            0)
+      << what << " m=" << m << " n=" << n;
+}
+
+TEST(CrossTier, BlockedBitwiseEqualsNaiveWithinOnePanel) {
+  common::Rng rng(31);
+  const int rows = 8192;  // Conv1's row count: many full row blocks
+  for (int k : {1, 8, 9, 72, 128, 256}) {
+    for (double density : {0.0, 0.05, 0.3, 1.0}) {
+      for (bool binary : {true, false}) {
+        const tensor::Tensor a =
+            sparse_activations(rows, k, density, binary, rng);
+        const std::string what = "k=" + std::to_string(k) +
+                                 " density=" + std::to_string(density) +
+                                 " binary=" + std::to_string(binary);
+        for (int n = 1; n <= 17; ++n) {
+          const tensor::Tensor b = random_tensor({k, n}, rng);
+          // Edge row tiles (m % 8) and edge column tiles (n % 8).
+          for (int m = 1; m <= 20; ++m) {
+            expect_blocked_equals_naive(a, b, m, k, n, what);
+          }
+          if (n == 1 || n == 8 || n == 9 || n == 17) {
+            expect_blocked_equals_naive(a, b, rows, k, n, what);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CrossTier, AutoDispatchMatchesNaiveOnSparseSpikes) {
+  // Spike inputs at density 0.1 through the tensor wrapper, 1 and 4
+  // threads: naive's bits in every case. Conv1's forward (8192 x 72 x 8)
+  // takes the blocked kernel; with accumulate or a K deeper than one
+  // panel, where blocked would differ, the zero-skip kernel must stay.
+  struct Case {
+    int m, k, n;
+    bool accumulate;
+  };
+  common::Rng rng(32);
+  for (const Case& c : {Case{8192, 72, 8, false}, Case{1024, 72, 8, true},
+                        Case{1024, 300, 8, false}}) {
+    const tensor::Tensor a = sparse_activations(c.m, c.k, 0.1, true, rng);
+    const tensor::Tensor b = random_tensor({c.k, c.n}, rng);
+    const tensor::Tensor c0 = random_tensor({c.m, c.n}, rng);
+    tensor::Tensor naive = c0;
+    gemm_naive(a.data(), b.data(), naive.data(), c.m, c.k, c.n,
+               c.accumulate);
+    for (int threads : {1, 4}) {
+      ThreadScope scope(threads);
+      tensor::Tensor out = c0;
+      tensor::gemm(a.data(), b.data(), out.data(), c.m, c.k, c.n,
+                   c.accumulate);
+      expect_bit_identical(naive, out);
+    }
+  }
+}
+
+// gemm_a_bt_blocked's per-element dot product, written out as the
+// kernel's scalar loop: four partial sums over kk += 4, the tail into s0,
+// the fixed combine. Compiled with the same flags as the kernel, so the
+// two contract (or do not contract) their multiply-adds alike.
+void ref_a_bt(const float* a, const float* b, float* c, int m, int k, int n) {
+  for (int i = 0; i < m; ++i) {
+    const float* arow = a + static_cast<std::size_t>(i) * k;
+    for (int j = 0; j < n; ++j) {
+      const float* brow = b + static_cast<std::size_t>(j) * k;
+      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+      int kk = 0;
+      for (; kk + 4 <= k; kk += 4) {
+        s0 += arow[kk] * brow[kk];
+        s1 += arow[kk + 1] * brow[kk + 1];
+        s2 += arow[kk + 2] * brow[kk + 2];
+        s3 += arow[kk + 3] * brow[kk + 3];
+      }
+      for (; kk < k; ++kk) s0 += arow[kk] * brow[kk];
+      c[static_cast<std::size_t>(i) * n + j] += (s0 + s1) + (s2 + s3);
+    }
+  }
+}
+
+TEST(CrossTier, ABtLanesBitwiseEqualScalarDot) {
+  // k < 32 takes eight output columns per vector (n % 8 columns stay
+  // scalar); each lane must reproduce the scalar dot exactly, with and
+  // without accumulate, for 1 and 4 threads.
+  ThreadScope scope(4);
+  common::Rng rng(33);
+  const int m = 40;  // >= 2 row grains: 4 threads really split the rows
+  for (int k = 1; k < 32; ++k) {
+    for (int n = 1; n <= 80; ++n) {
+      const tensor::Tensor a = random_tensor({m, k}, rng);
+      const tensor::Tensor b = random_tensor({n, k}, rng);
+      const tensor::Tensor c0 = random_tensor({m, n}, rng);
+      for (bool accumulate : {false, true}) {
+        tensor::Tensor ref = accumulate ? c0 : tensor::Tensor({m, n});
+        ref_a_bt(a.data(), b.data(), ref.data(), m, k, n);
+        for (int threads : {1, 4}) {
+          tensor::Tensor c = c0;
+          gemm_a_bt_blocked(a.data(), b.data(), c.data(), m, k, n,
+                            accumulate, threads);
+          ASSERT_EQ(std::memcmp(ref.data(), c.data(),
+                                ref.size() * sizeof(float)),
+                    0)
+              << "k=" << k << " n=" << n << " accumulate=" << accumulate
+              << " threads=" << threads;
+        }
+      }
+    }
+  }
 }
 
 class EngineDeterminism

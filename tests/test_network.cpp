@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 
 #include "fault/fault_generator.h"
 #include "snn/conv2d.h"
@@ -208,6 +209,74 @@ TEST(Network, RateForwardHoistingMatchesPerStepLoop) {
   const std::uint64_t s3 = engine.accumulate_steps();
   EXPECT_EQ((s3 - s2) - (s2 - s1), 3 * senc_steps);
   net.set_gemm_engine(nullptr);
+}
+
+// One T-step BPTT pass: forward in train mode, then backward with a fixed
+// output gradient per step, either through Network::backward or through
+// a plain reversed per-layer Layer::backward loop.
+void bptt_pass(Network& net, const std::vector<tensor::Tensor>& steps,
+               const tensor::Tensor& grad, bool network_backward) {
+  net.reset_state();
+  net.zero_grad();
+  const int t_steps = static_cast<int>(steps.size());
+  for (int t = 0; t < t_steps; ++t) {
+    net.forward(steps[static_cast<std::size_t>(t)], t, Mode::kTrain);
+  }
+  for (int t = t_steps - 1; t >= 0; --t) {
+    if (network_backward) {
+      net.backward(grad, t);
+      continue;
+    }
+    tensor::Tensor cur = grad;
+    for (int i = net.num_layers() - 1; i >= 0; --i) {
+      cur = net.layer(i).backward(cur, t);
+    }
+  }
+}
+
+TEST(Network, BackwardSkipsOnlyTheInputGradient) {
+  // Network::backward leaves out the first layer's input gradient; every
+  // parameter gradient must still equal the full per-layer loop's bit for
+  // bit. Two identically seeded copies draw the same dropout masks.
+  ZooConfig zc;
+  zc.initial_vth = 0.1f;
+  struct Case {
+    std::function<Network()> make;
+    tensor::Shape input;
+    int classes;
+  };
+  const std::vector<Case> cases = {
+      {[&] { return make_digit_classifier("digit", 1, 16, 10, zc); },
+       {3, 1, 16, 16}, 10},
+      {[&] { return make_gesture_classifier("gesture", 2, 24, 11, zc); },
+       {2, 2, 24, 24}, 11},
+  };
+  for (const Case& c : cases) {
+    Network fast = c.make();
+    Network full = c.make();
+    common::Rng rng(17);
+    std::vector<tensor::Tensor> steps;
+    for (int t = 0; t < 4; ++t) {
+      steps.push_back(
+          falvolt::testutil::random_tensor(c.input, rng, 0.0, 1.0));
+    }
+    const tensor::Tensor grad =
+        falvolt::testutil::random_tensor({c.input[0], c.classes}, rng);
+    bptt_pass(fast, steps, grad, /*network_backward=*/true);
+    bptt_pass(full, steps, grad, /*network_backward=*/false);
+    const std::vector<Param*> pf = fast.params();
+    const std::vector<Param*> pr = full.params();
+    ASSERT_EQ(pf.size(), pr.size());
+    for (std::size_t i = 0; i < pf.size(); ++i) {
+      EXPECT_TRUE(same_bytes(pf[i]->grad, pr[i]->grad)) << pf[i]->name;
+    }
+    // The first layer (SEncConv) still gets its weight and bias grads.
+    const std::vector<Param*> first = fast.layer(0).params();
+    ASSERT_EQ(first.size(), 2u);
+    for (const Param* p : first) {
+      EXPECT_GT(tensor::count_nonzero(p->grad), 0u) << p->name;
+    }
+  }
 }
 
 TEST(ModelZoo, DigitClassifierShapes) {
