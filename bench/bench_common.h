@@ -339,7 +339,7 @@ inline std::string resolve_store_dir(const common::CliFlags& cli) {
   return common::env_or("FALVOLT_STORE", "");
 }
 
-/// Build the SweepRunner store/shard configuration from the CLI.
+/// Build a grid's store/shard configuration from the CLI.
 inline core::SweepStoreOptions store_options(
     const common::CliFlags& cli, const std::string& bench_name,
     const std::set<std::string>& aggregation_only = {}) {
@@ -365,22 +365,31 @@ inline core::SweepStoreOptions store_options(
   return st;
 }
 
+inline core::WorkloadOptions workload_options(const common::CliFlags& cli) {
+  core::WorkloadOptions opts;
+  opts.fast = cli.get_bool("fast");
+  opts.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  opts.threads = static_cast<int>(cli.get_int("threads"));
+  opts.sweep_parallel = static_cast<int>(cli.get_int("sweep-parallel"));
+  return opts;
+}
+
 /// Print one grid's --list-scenarios rows (the row format shared by the
-/// bench dry run and sweep_fleet's cross-bench listing). `fp_of`
-/// computes the cell fingerprint; `rs` is null when the store does not
+/// bench dry run and sweep_fleet's cross-bench listing). Cells are
+/// fingerprinted by core::fingerprint_cell under `opts`, exactly as the
+/// run would address them; `rs` is null when the store does not
 /// exist yet (every cell then lists as MISS, or "-" with no store at
 /// all). Cross-grid listings pass a bench `label` (rows print as
 /// "bench:key") and thread a running `start_index` through so every row
 /// of the combined listing has a unique index. Returns the index after
 /// the last row.
 inline std::size_t list_scenario_rows(
-    const core::SweepStoreOptions& st,
+    const core::SweepStoreOptions& st, const core::WorkloadOptions& opts,
     const std::vector<core::Scenario>& scenarios,
-    const std::function<std::string(const core::Scenario&)>& fp_of,
     const falvolt::store::StoreApi* rs, const std::string& label = "",
     std::size_t start_index = 0) {
   // The same cost-balanced partition (greedy LPT over static cost
-  // estimates) the engine computes — the listing's "shard" column IS
+  // estimates) the runner computes — the listing's "shard" column IS
   // the plan every independently launched shard follows.
   std::vector<double> costs(scenarios.size());
   for (std::size_t i = 0; i < costs.size(); ++i) {
@@ -389,7 +398,7 @@ inline std::size_t list_scenario_rows(
   const std::vector<int> owners =
       core::shard_partition(costs, st.shard_count);
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const std::string fp = fp_of(scenarios[i]);
+    const std::string fp = core::fingerprint_cell(st, opts, scenarios[i]);
     const int owner = owners[i];
     const char* status = rs          ? (rs->contains(fp) ? "HIT" : "MISS")
                          : st.dir.empty() ? "-"
@@ -409,10 +418,9 @@ inline std::size_t list_scenario_rows(
 /// unlike an actual sweep — does not even create the store directories
 /// (a store that does not exist yet simply lists every cell as MISS).
 inline bool list_scenarios(const common::CliFlags& cli,
-                           const core::SweepRunner& runner,
+                           const core::SweepStoreOptions& st,
                            const std::vector<core::Scenario>& scenarios) {
   if (!cli.get_bool("list-scenarios")) return false;
-  const core::SweepStoreOptions& st = runner.store();
   std::unique_ptr<falvolt::store::StoreApi> rs;
   if (!st.dir.empty() && falvolt::store::store_spec_exists(st.dir)) {
     rs = falvolt::store::open_store(st.dir, st.substituters,
@@ -423,10 +431,7 @@ inline bool list_scenarios(const common::CliFlags& cli,
               st.dir.empty() ? "" : ", store ", st.dir.c_str());
   std::printf("%-5s %-6s %-6s %-16s %s\n", "idx", "shard", "store",
               "fingerprint", "key");
-  list_scenario_rows(
-      st, scenarios,
-      [&runner](const core::Scenario& s) { return runner.fingerprint(s); },
-      rs.get());
+  list_scenario_rows(st, workload_options(cli), scenarios, rs.get());
   return true;
 }
 
@@ -482,15 +487,6 @@ inline systolic::ArrayConfig experiment_array(const common::CliFlags& cli) {
   systolic::ArrayConfig array;
   array.rows = array.cols = static_cast<int>(cli.get_int("array-size"));
   return array;
-}
-
-inline core::WorkloadOptions workload_options(const common::CliFlags& cli) {
-  core::WorkloadOptions opts;
-  opts.fast = cli.get_bool("fast");
-  opts.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  opts.threads = static_cast<int>(cli.get_int("threads"));
-  opts.sweep_parallel = static_cast<int>(cli.get_int("sweep-parallel"));
-  return opts;
 }
 
 /// Parse a --datasets spec into dataset kinds. An empty or "all" spec

@@ -34,10 +34,9 @@ int main(int argc, char** argv) {
   const std::vector<core::DatasetKind> kinds = fb::fig5c::kinds(cli);
   const std::vector<core::Scenario> scenarios = def.scenarios(cli);
 
-  core::SweepRunner runner(fb::workload_options(cli));
-  runner.set_on_baseline(fb::print_baseline);
-  runner.set_store(fb::store_options(cli, def.name, def.aggregation_only));
-  if (fb::list_scenarios(cli, runner, scenarios)) return 0;
+  const core::SweepStoreOptions store =
+      fb::store_options(cli, def.name, def.aggregation_only);
+  if (fb::list_scenarios(cli, store, scenarios)) return 0;
 
   // Outputs open before the sweep so an unwritable CWD fails fast.
   common::CsvWriter csv(fb::csv_path(cli, def.name),
@@ -45,8 +44,10 @@ int main(int argc, char** argv) {
                          "stddev"});
   fb::probe_sweep_json(cli, def.name);
 
-  const core::ResultTable results =
-      runner.run(scenarios, def.scenario_fn(cli, runner.context()));
+  core::FleetRunner runner(fb::workload_options(cli));
+  runner.set_on_baseline(fb::print_baseline);
+  runner.add_grid({store, scenarios, def.scenario_fn(cli, runner.context())});
+  const core::ResultTable results = std::move(runner.run().front());
 
   if (fb::sweep_complete(results)) {
     std::vector<std::string> header = {"dataset"};

@@ -6,8 +6,8 @@
 // post-fab test.
 //
 // Usage:
-//   micro_kernels [--out_dir=DIR] [--json=NAME] [--gemm_json=NAME]
-//                 [--threads=N] [google-benchmark flags]
+//   micro_kernels [--out_dir=DIR] [--json=NAME] [--threads=N]
+//                 [google-benchmark flags]
 //
 // The perf-trajectory sweeps (GEMM tiers, faulty-GEMM engine, cycle sim)
 // run first and write one machine-readable summary to --json (default
@@ -15,8 +15,7 @@
 // registered micro-benchmarks as usual. --out_dir places every relative
 // output under DIR, created with parents (default bench_out/ — CI and
 // local runs stop littering the invocation CWD; pass --out_dir= to
-// write relative paths as-is); --gemm_json additionally writes the
-// legacy GEMM-tier-only summary.
+// write relative paths as-is).
 
 #include <benchmark/benchmark.h>
 
@@ -471,15 +470,12 @@ int main(int argc, char** argv) {
   // Peel off our flags; everything else goes to google-benchmark.
   std::string out_dir = "bench_out";
   std::string json_name = "micro_kernels.json";
-  std::string gemm_json_name;  // legacy GEMM-tier-only summary, off by default
   std::vector<char*> bench_argv = {argv[0]};
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--out_dir=", 10) == 0) {
       out_dir = argv[i] + 10;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_name = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--gemm_json=", 12) == 0) {
-      gemm_json_name = argv[i] + 12;
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       compute::set_global_threads(std::atoi(argv[i] + 10));
     } else {
@@ -504,14 +500,6 @@ int main(int argc, char** argv) {
     json += "  \"cycle_sim\": [\n" + cycle_rows + "  ]\n}\n";
     write_text_file(resolve_out_path(out_dir, json_name), json,
                     "micro_kernels");
-  }
-  if (!gemm_json_name.empty() && gemm_json_name != "none") {
-    const std::string legacy =
-        "{\n  \"bench\": \"gemm_tiers\",\n  \"threads\": " +
-        std::to_string(compute::global_threads()) + ",\n  \"sizes\": [\n" +
-        gemm_rows + "  ]\n}\n";
-    write_text_file(resolve_out_path(out_dir, gemm_json_name), legacy,
-                    "gemm");
   }
   std::printf("\n");
 

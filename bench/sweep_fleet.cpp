@@ -122,15 +122,8 @@ int main(int argc, char** argv) try {
                  "fleet summary JSON path ('' = disabled). Per-bench "
                  "sweep JSONs come from warm bench re-runs against the "
                  "fleet store");
-  cli.add_string("schedule", "cost",
-                 "work-queue ordering: 'cost' claims the most expensive "
-                 "cells first (shortest fleet tail on heterogeneous "
-                 "grids), 'claim' keeps legacy grid-major order. Tables "
-                 "are byte-identical either way");
   if (!cli.parse(argc, argv)) return 0;
   fb::ExecScope obs_scope(cli);
-  const core::SchedulePolicy schedule =
-      core::parse_schedule_policy(cli.get_string("schedule"));
 
   // Process layout (the kExecFleet exec flags): --hosts N runs this
   // invocation as the scheduler daemon forking N workers; a forked
@@ -270,7 +263,7 @@ int main(int argc, char** argv) try {
       "store",     // forwarded below as the resolved shared store dir
       "datasets",  // forwarded per grid, narrowed to the grid's axis
       "sweep-json", "list-scenarios",  // fleet-handled, not per-grid
-      "workers", "grids", "set", "json", "schedule"};  // fleet-only flags
+      "workers", "grids", "set", "json"};  // fleet-only flags
   std::vector<std::string> forwards;
   for (const auto& [flag, value] : cli.items()) {
     // Exec-table flags (telemetry, fault injection, process layout) are
@@ -353,12 +346,8 @@ int main(int argc, char** argv) try {
                 "fingerprint", "bench:key");
     std::size_t index = 0;
     for (const FleetGridSpec& spec : specs) {
-      index = fb::list_scenario_rows(
-          spec.store, spec.scenarios,
-          [&spec, &fleet_opts](const core::Scenario& s) {
-            return core::fingerprint_cell(spec.store, fleet_opts, s);
-          },
-          rs.get(), spec.def->name, index);
+      index = fb::list_scenario_rows(spec.store, fleet_opts, spec.scenarios,
+                                     rs.get(), spec.def->name, index);
     }
     return 0;
   }
@@ -383,7 +372,6 @@ int main(int argc, char** argv) try {
 
   core::FleetRunner fleet(opts);
   fleet.set_on_baseline(fb::print_baseline);
-  fleet.set_schedule(schedule);
   for (FleetGridSpec& spec : specs) {
     fleet.add_grid(core::FleetGrid{
         spec.store, spec.scenarios,
@@ -392,7 +380,7 @@ int main(int argc, char** argv) try {
 
   // Worker mode (--daemon-socket without --hosts, i.e. a process the
   // daemon forked): build the same grids the daemon did, register every
-  // cell under its wire name, and let the engine's claim loop pull work
+  // cell under its wire name, and let FleetRunner's claim loop pull work
   // over the socket instead of its in-process queue. Workers publish
   // records directly to the shared store — the daemon only ever sees
   // metadata — then exit without tables or summaries of their own.
@@ -586,9 +574,8 @@ int main(int argc, char** argv) try {
   }
 
   std::printf("=== sweep_fleet ===\n%zu grid(s) against store %s "
-              "(%s-ordered queue)\n\n",
-              specs.size(), store_dir.c_str(),
-              core::schedule_policy_name(schedule));
+              "(cost-ordered queue)\n\n",
+              specs.size(), store_dir.c_str());
   const std::vector<core::ResultTable> tables = fleet.run();
 
   std::size_t computed = 0, cached = 0, absent = 0;
@@ -672,7 +659,6 @@ int main(int argc, char** argv) try {
                     : cached;
     out << "{\n  \"driver\": \"sweep_fleet\",\n  \"store\": \""
         << common::json_escape(store_dir)
-        << "\",\n  \"schedule\": \"" << core::schedule_policy_name(schedule)
         << "\",\n  \"run\": {\"workers\": " << run_workers
         << ", \"total_seconds\": " << run_seconds
         << ", \"cells_computed\": " << run_computed

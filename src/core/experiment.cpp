@@ -1,18 +1,19 @@
 #include "core/experiment.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <vector>
+#include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
+#include "common/bytes.h"
 #include "common/env.h"
 #include "compute/thread_pool.h"
 #include "data/synthetic_dvs_gesture.h"
 #include "data/synthetic_mnist.h"
 #include "data/synthetic_nmnist.h"
+#include "io/env.h"
 #include "snn/optimizer.h"
 #include "snn/trainer.h"
 
@@ -136,80 +137,70 @@ int default_retrain_epochs(DatasetKind kind, bool fast) {
 }
 
 void save_params(snn::Network& net, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("save_params: cannot open " + path);
   const auto params = net.params();
-  const std::uint32_t magic = kMagic;
-  const std::uint32_t count = static_cast<std::uint32_t>(params.size());
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  std::string bytes;
+  common::put_u32(bytes, kMagic);
+  common::put_u32(bytes, static_cast<std::uint32_t>(params.size()));
   for (const snn::Param* p : params) {
-    const std::uint32_t name_len =
-        static_cast<std::uint32_t>(p->name.size());
-    out.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-    out.write(p->name.data(), name_len);
-    const std::uint32_t size = static_cast<std::uint32_t>(p->value.size());
-    out.write(reinterpret_cast<const char*>(&size), sizeof(size));
-    out.write(reinterpret_cast<const char*>(p->value.data()),
-              static_cast<std::streamsize>(size * sizeof(float)));
+    common::put_str(bytes, p->name);
+    common::put_u32(bytes, static_cast<std::uint32_t>(p->value.size()));
+    bytes.append(reinterpret_cast<const char*>(p->value.data()),
+                 p->value.size() * sizeof(float));
   }
+  // Staged next to the final file and renamed over it: concurrent
+  // writers of one cache entry (fleet workers that both missed it) each
+  // publish a complete file, and a crash never leaves a partial one
+  // under the final name.
+  const std::filesystem::path file(path);
+  const std::string dir = file.parent_path().string();
+  io::atomic_publish(dir.empty() ? "." : dir, file.filename().string(), path,
+                     bytes);
+  // The format carries no checksum, so a damaged write (a torn or
+  // bit-flipped write under --faults) would load silently later. Read
+  // it back once and drop a file that does not match: the next run
+  // retrains instead of trusting it.
+  const std::optional<std::string> back = io::env().read_file(path);
+  if (!back || *back != bytes) io::env().unlink_file(path);
 }
 
 bool load_params(snn::Network& net, const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return false;
-  // Every length field is validated against the bytes actually left in
-  // the file BEFORE any allocation or payload read, so a corrupt or
-  // truncated cache entry degrades to "no cache" (caller retrains and
-  // rewrites it) instead of throwing or allocating a garbage-sized
-  // buffer from a damaged length word.
-  std::uint64_t remaining = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0);
+  const std::optional<std::string> bytes = io::env().read_file(path);
+  if (!bytes) return false;
+  // ByteReader validates every length field against the bytes actually
+  // left BEFORE it is trusted, so a corrupt or truncated cache entry
+  // degrades to "no cache" (caller retrains and rewrites it) instead of
+  // throwing or over-reading from a damaged length word.
+  common::ByteReader in{*bytes};
   std::uint32_t magic = 0;
   std::uint32_t count = 0;
-  if (remaining < sizeof(magic) + sizeof(count)) return false;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  remaining -= sizeof(magic) + sizeof(count);
-  if (!in || magic != kMagic) return false;
+  if (!in.u32(magic) || !in.u32(count) || magic != kMagic) return false;
   const auto params = net.params();
   if (count != params.size()) {
     throw std::runtime_error("load_params: parameter count mismatch in " +
                              path);
   }
-  // Stage every payload first and commit only after the whole file
-  // validates — a failure halfway must not leave the network partially
-  // overwritten (the caller retrains from the current initialization).
-  std::vector<std::vector<float>> staged;
-  staged.reserve(params.size());
-  for (snn::Param* p : params) {
-    std::uint32_t name_len = 0;
-    if (remaining < sizeof(name_len)) return false;
-    in.read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
-    remaining -= sizeof(name_len);
-    if (name_len > remaining) return false;
-    std::string name(name_len, '\0');
-    in.read(name.data(), name_len);
-    remaining -= name_len;
+  // Validate the whole file first and commit only after it passes — a
+  // failure halfway must not leave the network partially overwritten
+  // (the caller retrains from the current initialization).
+  std::vector<std::size_t> payload_at;
+  payload_at.reserve(params.size());
+  for (const snn::Param* p : params) {
+    std::string name;
     std::uint32_t size = 0;
-    if (remaining < sizeof(size)) return false;
-    in.read(reinterpret_cast<char*>(&size), sizeof(size));
-    remaining -= sizeof(size);
-    if (std::uint64_t{size} * sizeof(float) > remaining) return false;
-    if (!in) return false;
+    if (!in.str(name) || !in.u32(size) ||
+        std::uint64_t{size} * sizeof(float) > in.remaining()) {
+      return false;
+    }
     if (name != p->name || size != p->value.size()) {
       throw std::runtime_error("load_params: parameter mismatch at " +
                                p->name + " in " + path);
     }
-    std::vector<float> payload(size);
-    in.read(reinterpret_cast<char*>(payload.data()),
-            static_cast<std::streamsize>(size * sizeof(float)));
-    remaining -= std::uint64_t{size} * sizeof(float);
-    if (!in) return false;
-    staged.push_back(std::move(payload));
+    payload_at.push_back(in.pos);
+    in.pos += std::size_t{size} * sizeof(float);
   }
   for (std::size_t i = 0; i < params.size(); ++i) {
-    std::copy(staged[i].begin(), staged[i].end(), params[i]->value.data());
+    std::memcpy(params[i]->value.data(), bytes->data() + payload_at[i],
+                params[i]->value.size() * sizeof(float));
   }
   return true;
 }
@@ -224,7 +215,10 @@ Workload prepare_workload(DatasetKind kind, const WorkloadOptions& opts) {
   const std::string cache_dir = resolve_cache_dir(opts);
   std::string cache_file;
   if (!cache_dir.empty()) {
-    std::filesystem::create_directories(cache_dir);
+    if (!io::env().mkdirs(cache_dir)) {
+      throw std::runtime_error("prepare_workload: cannot create cache dir " +
+                               cache_dir);
+    }
     cache_file = baseline_cache_file(cache_dir, kind, opts.fast, opts.seed);
   }
 

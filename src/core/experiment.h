@@ -45,7 +45,7 @@ struct WorkloadOptions {
   /// before training): 0 keeps the current pool ($FALVOLT_THREADS or the
   /// hardware concurrency on first use).
   int threads = 0;
-  /// Concurrent scenarios for core::SweepRunner: 1 runs the grid
+  /// Concurrent scenarios for core::FleetRunner: 1 runs the grid
   /// serially (GEMM-level parallelism stays fully available), N > 1 runs
   /// N scenarios at a time with their GEMMs inlined on the scenario
   /// worker (so scenario- and GEMM-level parallelism never oversubscribe
@@ -78,7 +78,7 @@ Workload prepare_workload(DatasetKind kind, const WorkloadOptions& opts = {});
 /// Construct the (untrained) paper architecture for `kind` on `train`
 /// with deterministic initialization. Restoring a snapshot taken from a
 /// prepare_workload() network onto this yields an independent clone of
-/// the trained baseline — the per-scenario copy SweepRunner hands out.
+/// the trained baseline — the per-scenario copy FleetRunner hands out.
 snn::Network build_network(DatasetKind kind, const data::Dataset& train,
                            std::uint64_t seed);
 
@@ -86,7 +86,11 @@ snn::Network build_network(DatasetKind kind, const data::Dataset& train,
 /// for this workload (DVS needs more, as in the paper).
 int default_retrain_epochs(DatasetKind kind, bool fast);
 
-/// Serialize all network parameters to a flat binary file.
+/// Serialize all network parameters to a flat binary file, published
+/// through io::atomic_publish (the io::Env seam): readers see either the
+/// previous file or the complete new one, never a partial write. A file
+/// whose read-back does not match the serialized bytes is removed.
+/// Throws std::runtime_error when the file cannot be published.
 void save_params(snn::Network& net, const std::string& path);
 
 /// Load parameters saved by save_params. Returns false — meaning "no

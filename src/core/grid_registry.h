@@ -50,12 +50,11 @@ struct GridDef {
   /// systolic::cost_model). Cost never enters a fingerprint.
   std::function<std::vector<Scenario>(const common::CliFlags&)> scenarios;
   /// Builds the scenario function. `ctx` is the context the running
-  /// sweep prepares baselines into (a SweepRunner's or a FleetRunner's);
+  /// sweep prepares baselines into (its FleetRunner's context());
   /// the returned closure must own every other value it needs — capture
   /// flag-derived values by value, shared state by shared_ptr — because
   /// the CliFlags it was built from may be gone by the time it runs.
-  std::function<SweepRunner::ScenarioFn(const common::CliFlags&,
-                                        const SweepContext&)>
+  std::function<ScenarioFn(const common::CliFlags&, const SweepContext&)>
       scenario_fn;
 };
 

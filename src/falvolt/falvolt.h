@@ -15,14 +15,12 @@
 #include "common/table.h"     // IWYU pragma: export
 #include "common/timer.h"     // IWYU pragma: export
 
-// Parallel compute backend (thread pool, blocked GEMM, engine dispatch).
-#include "compute/engine_registry.h"  // IWYU pragma: export
-#include "compute/gemm_kernels.h"     // IWYU pragma: export
-#include "compute/thread_pool.h"      // IWYU pragma: export
+// Parallel compute backend (thread pool, GEMM kernels).
+#include "compute/gemm_kernels.h"  // IWYU pragma: export
+#include "compute/thread_pool.h"   // IWYU pragma: export
 
 // Fixed-point arithmetic and stuck-at faults.
 #include "fixed/fixed_format.h"  // IWYU pragma: export
-#include "fixed/fixed_ops.h"     // IWYU pragma: export
 #include "fixed/stuck_bits.h"    // IWYU pragma: export
 
 // Tensors.
@@ -66,7 +64,6 @@
 // Fault machinery.
 #include "fault/fault_generator.h"  // IWYU pragma: export
 #include "fault/fault_map.h"        // IWYU pragma: export
-#include "fault/fault_map_io.h"     // IWYU pragma: export
 #include "fault/post_fab_test.h"    // IWYU pragma: export
 #include "fault/prune_mask.h"       // IWYU pragma: export
 

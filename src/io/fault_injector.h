@@ -17,7 +17,7 @@
 //   plug pulls    with kill=1, a triggered fault point SIGKILLs the
 //                 process (no unwinding, no flushing — the plug is
 //                 pulled). FALVOLT_PTP() marks the kill points: the
-//                 boundaries of atomic_publish and the sweep engine's
+//                 boundaries of atomic_publish and FleetRunner's
 //                 store-put path. A crashed run must resume to
 //                 byte-identical tables, recomputing only cells whose
 //                 records never published.

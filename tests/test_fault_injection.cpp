@@ -9,7 +9,10 @@
 //    returns a wrong record;
 //  - a sweep whose writes are torn/bit-flipped, or whose worker is
 //    killed mid-cell, resumes to a byte-identical table, recomputing
-//    only the cells whose records never validly published.
+//    only the cells whose records never validly published;
+//  - the baseline parameter cache is published the same way: a plug
+//    pull never leaves a partial cache file, and a damaged write is
+//    dropped instead of loading later.
 
 #include <gtest/gtest.h>
 
@@ -17,15 +20,18 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "core/experiment.h"
 #include "core/sweep.h"
 #include "io/env.h"
 #include "io/fault_injector.h"
 #include "obs/metrics.h"
+#include "snn/model_zoo.h"
 #include "store/compact.h"
 #include "store/result_store.h"
 #include "store/store_api.h"
@@ -39,7 +45,8 @@ using core::ResultTable;
 using core::Scenario;
 using core::ScenarioResult;
 using core::SweepContext;
-using core::SweepRunner;
+using core::FleetRunner;
+using core::ScenarioFn;
 using core::SweepStoreOptions;
 using core::WorkloadOptions;
 
@@ -76,7 +83,7 @@ class FaultInjectionTest : public ::testing::Test {
     return st;
   }
 
-  static SweepRunner::ScenarioFn counting_fn(std::atomic<int>& computed) {
+  static ScenarioFn counting_fn(std::atomic<int>& computed) {
     return [&computed](const Scenario& s, const SweepContext&) {
       ++computed;
       ScenarioResult out;
@@ -87,13 +94,15 @@ class FaultInjectionTest : public ::testing::Test {
     };
   }
 
-  static SweepRunner runner(const SweepStoreOptions& st) {
+  static ResultTable run(const SweepStoreOptions& st,
+                         const std::vector<Scenario>& scenarios,
+                         ScenarioFn fn) {
     WorkloadOptions opts;
     opts.sweep_parallel = 1;  // serial: the fault-point sequence is exact
-    SweepRunner r{opts};
+    FleetRunner r{opts};
     r.set_prepare_baselines(false);
-    r.set_store(st);
-    return r;
+    r.add_grid({st, scenarios, std::move(fn)});
+    return std::move(r.run().front());
   }
 
   // Valid (frame-validating) records currently readable from `dir`.
@@ -254,6 +263,78 @@ TEST_F(FaultInjectionTest, TornPublishNeverSurfacesAsARecord) {
   EXPECT_EQ(s.get(fp), std::string("the payload"));
 }
 
+// ------------------------------------------------------ baseline cache
+
+snn::Network small_net(std::uint64_t seed) {
+  snn::ZooConfig zc;
+  zc.channels = 4;
+  zc.fc_hidden = 16;
+  zc.seed = seed;
+  return snn::make_digit_classifier("d", 1, 16, 10, zc);
+}
+
+// save_params is an atomic publish: SIGKILL a child at each of the six
+// fault points (same order as PublishSurvivesPlugPullAtEveryBoundary)
+// and the cache file is either absent or loads the complete snapshot.
+TEST_F(FaultInjectionTest, BaselineCacheSurvivesPlugPullAtEveryBoundary) {
+  fs::create_directories(dir_ + "/cache");
+  snn::Network saved = small_net(1);
+  for (std::uint64_t runlen = 1; runlen <= 6; ++runlen) {
+    const std::string path =
+        dir_ + "/cache/baseline" + std::to_string(runlen) + ".bin";
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      FaultSpec spec;
+      spec.mode = FaultMode::kRunLength;
+      spec.run_length = runlen;
+      spec.kill = true;
+      spec.torn_writes = false;
+      spec.bitflips = false;
+      arm_faults(spec);
+      core::save_params(saved, path);
+      ::_exit(0);  // only reached if no kill point fired
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status))
+        << "runlen=" << runlen << ": the cache write bypassed io::Env";
+    EXPECT_EQ(WTERMSIG(status), SIGKILL);
+
+    snn::Network loaded = small_net(2);
+    if (runlen <= 4) {
+      EXPECT_FALSE(fs::exists(path)) << "runlen=" << runlen;
+      EXPECT_FALSE(core::load_params(loaded, path)) << "runlen=" << runlen;
+    } else {
+      ASSERT_TRUE(core::load_params(loaded, path)) << "runlen=" << runlen;
+      const auto a = saved.params();
+      const auto b = loaded.params();
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_TRUE(std::equal(a[i]->value.begin(), a[i]->value.end(),
+                               b[i]->value.begin()))
+            << "runlen=" << runlen << " " << a[i]->name;
+      }
+    }
+  }
+}
+
+// A torn cache write "succeeds" (the writer lies), so save_params reads
+// its file back and drops it: the next run retrains instead of loading
+// a damaged baseline.
+TEST_F(FaultInjectionTest, DamagedBaselineCacheWriteIsDropped) {
+  const std::string path = dir_ + "/cache/baseline.bin";
+  snn::Network saved = small_net(1);
+  arm_faults(parse_fault_spec("mode=independent,p=1,seed=3,bitflip=0"));
+  core::save_params(saved, path);
+  disarm_faults();
+  EXPECT_GE(fault_report().torn_writes, 1u);
+  EXPECT_FALSE(fs::exists(path));
+
+  core::save_params(saved, path);  // a clean write publishes normally
+  snn::Network loaded = small_net(2);
+  EXPECT_TRUE(core::load_params(loaded, path));
+}
+
 // ------------------------------------------------- per-layer degradation
 
 // Every layer of the LayeredStore chain must turn injected read
@@ -330,15 +411,15 @@ TEST_F(FaultInjectionTest, SweepUnderTornWritesResumesByteIdentical) {
 
   // Clean reference table from an uninjected store.
   const ResultTable reference =
-      runner(store_opts(dir_ + "/ref")).run(scenarios, counting_fn(computed));
+      run(store_opts(dir_ + "/ref"), scenarios, counting_fn(computed));
   ASSERT_EQ(computed.load(), 6);
 
   // Injected run: every write torn or bit-flipped (p=1). The sweep
   // itself must complete — write faults are silent, damage is a READ
   // problem — and its table is computed in memory, so it matches.
   arm_faults(parse_fault_spec("mode=independent,p=1,seed=21"));
-  const ResultTable injected = runner(store_opts(dir_ + "/store"))
-                                   .run(scenarios, counting_fn(computed));
+  const ResultTable injected =
+      run(store_opts(dir_ + "/store"), scenarios, counting_fn(computed));
   disarm_faults();
   ASSERT_EQ(computed.load(), 12);
   EXPECT_TRUE(injected.complete());
@@ -352,15 +433,15 @@ TEST_F(FaultInjectionTest, SweepUnderTornWritesResumesByteIdentical) {
   // final table is byte-identical to the clean reference.
   const std::size_t survivors = valid_records(dir_ + "/store");
   EXPECT_EQ(survivors, 0u);  // p=1 damaged every publish
-  const ResultTable resumed = runner(store_opts(dir_ + "/store"))
-                                  .run(scenarios, counting_fn(computed));
+  const ResultTable resumed =
+      run(store_opts(dir_ + "/store"), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 18);
   EXPECT_TRUE(resumed.complete());
   EXPECT_EQ(resumed.to_csv(), reference.to_csv());
 
   // The repaired store now replays warm: zero recomputes.
-  const ResultTable warm = runner(store_opts(dir_ + "/store"))
-                               .run(scenarios, counting_fn(computed));
+  const ResultTable warm =
+      run(store_opts(dir_ + "/store"), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 18) << "repaired store must replay warm";
   EXPECT_EQ(warm.to_csv(), reference.to_csv());
 }
@@ -374,7 +455,7 @@ TEST_F(FaultInjectionTest, KilledWorkerResumesWithZeroLostPaidWork) {
   std::atomic<int> computed{0};
 
   const ResultTable reference =
-      runner(store_opts(dir_ + "/ref")).run(scenarios, counting_fn(computed));
+      run(store_opts(dir_ + "/ref"), scenarios, counting_fn(computed));
   ASSERT_EQ(computed.load(), 6);
 
   // Fault-point arithmetic for one serial sweep (see the publish sweep
@@ -388,8 +469,8 @@ TEST_F(FaultInjectionTest, KilledWorkerResumesWithZeroLostPaidWork) {
     FaultSpec spec = parse_fault_spec("mode=runlength,runlen=26,kill=1");
     arm_faults(spec);
     std::atomic<int> child_computed{0};
-    runner(store_opts(dir_ + "/store"))
-        .run(scenarios, counting_fn(child_computed));
+    run(store_opts(dir_ + "/store"), scenarios,
+        counting_fn(child_computed));
     ::_exit(0);  // not reached: the plug is pulled mid-sweep
   }
   int status = 0;
@@ -402,8 +483,8 @@ TEST_F(FaultInjectionTest, KilledWorkerResumesWithZeroLostPaidWork) {
 
   // Resume against the same store: replay 2, recompute only the 4 cells
   // the crash genuinely lost, produce the byte-identical table.
-  const ResultTable resumed = runner(store_opts(dir_ + "/store"))
-                                  .run(scenarios, counting_fn(computed));
+  const ResultTable resumed =
+      run(store_opts(dir_ + "/store"), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6 + 4);
   EXPECT_TRUE(resumed.complete());
   EXPECT_EQ(resumed.cached_cells(), 2u);

@@ -52,7 +52,7 @@ SweepStoreOptions store_opts(const std::string& dir,
   return st;
 }
 
-SweepRunner::ScenarioFn counting_fn(std::atomic<int>& computed) {
+ScenarioFn counting_fn(std::atomic<int>& computed) {
   return [&computed](const Scenario& s, const SweepContext&) {
     ++computed;
     ScenarioResult out;
@@ -108,22 +108,22 @@ TEST_F(FleetTest, RunsSeveralGridsAgainstOneStoreInterchangeably) {
   EXPECT_EQ(warmed[0].to_csv(), tables[0].to_csv());
   EXPECT_EQ(warmed[1].to_csv(), tables[1].to_csv());
 
-  // Interchangeability with per-bench runs: a standalone SweepRunner of
-  // one grid against the fleet store replays the fleet's cells — and
-  // its table is byte-identical to a cold standalone run in a private
-  // store (the fleet computes values, it never changes them).
-  SweepRunner solo{WorkloadOptions{}};
-  solo.set_prepare_baselines(false);
-  solo.set_store(store_opts(dir_, "bench_a"));
-  const ResultTable replayed = solo.run(grid("a", 4), counting_fn(computed));
+  // Interchangeability with per-bench runs: a standalone one-grid run
+  // (what a figure bench does) against the fleet store replays the
+  // fleet's cells — and its table is byte-identical to a cold standalone
+  // run in a private store (the fleet computes values, it never changes
+  // them).
+  FleetRunner solo = fleet(1);
+  solo.add_grid({store_opts(dir_, "bench_a"), grid("a", 4),
+                 counting_fn(computed)});
+  const ResultTable replayed = std::move(solo.run().front());
   EXPECT_EQ(computed.load(), 7);
   EXPECT_EQ(replayed.computed_cells(), 0u);
 
-  SweepRunner standalone{WorkloadOptions{}};
-  standalone.set_prepare_baselines(false);
-  standalone.set_store(store_opts(dir_ + "_solo", "bench_a"));
-  const ResultTable reference =
-      standalone.run(grid("a", 4), counting_fn(computed));
+  FleetRunner standalone = fleet(1);
+  standalone.add_grid({store_opts(dir_ + "_solo", "bench_a"), grid("a", 4),
+                       counting_fn(computed)});
+  const ResultTable reference = std::move(standalone.run().front());
   EXPECT_EQ(computed.load(), 11);
   EXPECT_EQ(replayed.to_csv(), reference.to_csv());
   fs::remove_all(dir_ + "_solo");
@@ -177,14 +177,6 @@ TEST(ScenarioCost, DefaultsScaleWithRetrainEpochsAndHintWins) {
   EXPECT_DOUBLE_EQ(scenario_cost_estimate(hinted), 2.5);
 }
 
-TEST(ScenarioCost, SchedulePolicyParsesAndRejects) {
-  EXPECT_EQ(parse_schedule_policy("cost"), SchedulePolicy::kCostOrdered);
-  EXPECT_EQ(parse_schedule_policy("claim"), SchedulePolicy::kClaimOrdered);
-  EXPECT_THROW(parse_schedule_policy("fifo"), std::invalid_argument);
-  EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kCostOrdered), "cost");
-  EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kClaimOrdered), "claim");
-}
-
 TEST(ScenarioCost, CostHintNeverEntersFingerprints) {
   SweepStoreOptions st;
   st.bench = "bench_a";
@@ -196,40 +188,24 @@ TEST(ScenarioCost, CostHintNeverEntersFingerprints) {
             fingerprint_cell(st, WorkloadOptions{}, b));
 }
 
-// With one worker the claim order IS the queue order: under the default
-// cost-ordered policy the retrain grid's cells run first even though
-// the eval grid was added first; under kClaimOrdered the add order wins.
+// With one worker the claim order IS the queue order: the retrain
+// grid's cells run first even though the eval grid was added first.
 TEST_F(FleetTest, CostOrderedQueueClaimsExpensiveCellsFirst) {
-  const auto run_order = [&](SchedulePolicy policy,
-                             const std::string& dir) {
-    std::vector<std::string> order;
-    std::mutex mu;
-    const auto recording = [&](const Scenario& s, const SweepContext&) {
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(s.key);
-      return ScenarioResult{};
-    };
-    FleetRunner f = fleet(1);
-    f.set_schedule(policy);
-    f.add_grid({store_opts(dir, "bench_eval"), grid("e", 3), recording});
-    f.add_grid({store_opts(dir, "bench_retrain"),
-                retrain_grid("r", 2, 4), recording});
-    f.run();
-    return order;
+  std::vector<std::string> order;
+  std::mutex mu;
+  const auto recording = [&](const Scenario& s, const SweepContext&) {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(s.key);
+    return ScenarioResult{};
   };
-
-  const std::vector<std::string> cost =
-      run_order(SchedulePolicy::kCostOrdered, dir_);
-  ASSERT_EQ(cost.size(), 5u);
-  EXPECT_EQ(cost[0], "r=0");
-  EXPECT_EQ(cost[1], "r=1");
-
-  fs::remove_all(dir_);
-  const std::vector<std::string> claim =
-      run_order(SchedulePolicy::kClaimOrdered, dir_);
-  ASSERT_EQ(claim.size(), 5u);
-  EXPECT_EQ(claim[0], "e=0");
-  EXPECT_EQ(claim[4], "r=1");
+  FleetRunner f = fleet(1);
+  f.add_grid({store_opts(dir_, "bench_eval"), grid("e", 3), recording});
+  f.add_grid({store_opts(dir_, "bench_retrain"), retrain_grid("r", 2, 4),
+              recording});
+  f.run();
+  ASSERT_EQ(order.size(), 5u);
+  EXPECT_EQ(order[0], "r=0");
+  EXPECT_EQ(order[1], "r=1");
 }
 
 // Mixed retrain/eval fleet at full concurrency: with 2 workers both
@@ -270,39 +246,35 @@ TEST_F(FleetTest, MixedFleetRunsRetrainCellsAtFullConcurrencyFirst) {
       << "no eval cell may start before the retrain cells are claimed";
 }
 
-// Scheduling is pure execution order: cost- and claim-ordered fleets
-// emit byte-identical tables, and a warm re-run against a cost-ordered
-// fleet's store computes nothing.
-TEST_F(FleetTest, SchedulePoliciesEmitByteIdenticalTablesAndWarmZero) {
+// Claim order is pure execution order: a 1-worker fleet (cells strictly
+// in queue order) and a 2-worker fleet (cells interleaved across
+// workers) emit byte-identical tables, and a warm re-run against the
+// 2-worker fleet's store computes nothing.
+TEST_F(FleetTest, WorkerCountNeverChangesTablesAndWarmRunComputesNothing) {
   std::atomic<int> computed{0};
-  const auto run_fleet = [&](SchedulePolicy policy, const std::string& dir) {
-    FleetRunner f = fleet(2);
-    f.set_schedule(policy);
+  const auto run_fleet = [&](int workers, const std::string& dir) {
+    FleetRunner f = fleet(workers);
     f.add_grid({store_opts(dir, "bench_eval"), grid("e", 4),
                 counting_fn(computed)});
-    f.add_grid({store_opts(dir, "bench_retrain"),
-                retrain_grid("r", 3, 2), counting_fn(computed)});
+    f.add_grid({store_opts(dir, "bench_retrain"), retrain_grid("r", 3, 2),
+                counting_fn(computed)});
     return f.run();
   };
-  const std::vector<ResultTable> cost =
-      run_fleet(SchedulePolicy::kCostOrdered, dir_);
-  const std::vector<ResultTable> claim =
-      run_fleet(SchedulePolicy::kClaimOrdered, dir_ + "_claim");
-  ASSERT_EQ(cost.size(), claim.size());
-  for (std::size_t g = 0; g < cost.size(); ++g) {
-    EXPECT_EQ(cost[g].to_csv(), claim[g].to_csv());
+  const std::vector<ResultTable> two = run_fleet(2, dir_);
+  const std::vector<ResultTable> one = run_fleet(1, dir_ + "_serial");
+  ASSERT_EQ(two.size(), one.size());
+  for (std::size_t g = 0; g < two.size(); ++g) {
+    EXPECT_EQ(two[g].to_csv(), one[g].to_csv());
   }
   EXPECT_EQ(computed.load(), 14);
 
-  // Warm re-run after the cost-ordered fleet: zero cells computed.
-  const std::vector<ResultTable> warm =
-      run_fleet(SchedulePolicy::kCostOrdered, dir_);
+  const std::vector<ResultTable> warm = run_fleet(2, dir_);
   EXPECT_EQ(computed.load(), 14);
   for (std::size_t g = 0; g < warm.size(); ++g) {
     EXPECT_EQ(warm[g].computed_cells(), 0u);
-    EXPECT_EQ(warm[g].to_csv(), cost[g].to_csv());
+    EXPECT_EQ(warm[g].to_csv(), two[g].to_csv());
   }
-  fs::remove_all(dir_ + "_claim");
+  fs::remove_all(dir_ + "_serial");
 }
 
 TEST_F(FleetTest, WorkerStatsAccountForEveryComputedCell) {
@@ -350,18 +322,6 @@ TEST_F(FleetTest, GridErrorsFailTheFleetWithBenchPrefix) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("bench_b: b=0"), std::string::npos)
         << e.what();
-  }
-}
-
-TEST_F(FleetTest, FingerprintsMatchStandaloneRunners) {
-  const std::vector<Scenario> scenarios = grid("a", 3);
-  SweepRunner solo{WorkloadOptions{}};
-  solo.set_prepare_baselines(false);
-  solo.set_store(store_opts(dir_, "bench_a"));
-  for (const Scenario& s : scenarios) {
-    EXPECT_EQ(solo.fingerprint(s),
-              fingerprint_cell(store_opts(dir_, "bench_a"),
-                               WorkloadOptions{}, s));
   }
 }
 
@@ -507,7 +467,7 @@ TEST(GridRegistry, LookupAndValidation) {
     return std::vector<Scenario>{};
   };
   dup.scenario_fn = [](const common::CliFlags&, const SweepContext&) {
-    return SweepRunner::ScenarioFn{};
+    return ScenarioFn{};
   };
   EXPECT_THROW(reg.add(std::move(dup)), std::logic_error);
 

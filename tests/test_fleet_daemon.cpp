@@ -335,7 +335,7 @@ TEST_F(FleetDaemonTest, SocketFedFleetRunnerMatchesInProcessByteForByte) {
     return st;
   };
   std::atomic<int> computed{0};
-  const core::SweepRunner::ScenarioFn fn =
+  const core::ScenarioFn fn =
       [&computed](const core::Scenario& s, const core::SweepContext&) {
         ++computed;
         core::ScenarioResult out;

@@ -42,21 +42,16 @@ TEST(PublicApi, UmbrellaHeaderEndToEnd) {
   const fault::TestOutcome outcome = fault::run_post_fab_test(chip);
   EXPECT_EQ(outcome.recovered.num_faulty_pes(), 10);
 
-  // Fault-map persistence round trip.
-  const fault::FaultMap reloaded =
-      fault::fault_map_from_text(fault::fault_map_to_text(outcome.recovered));
-  EXPECT_EQ(reloaded.num_faulty_pes(), 10);
-
   // Unmitigated vs mitigated accuracy.
   const double faulty = core::evaluate_with_faults(
-      net, split.test, array, reloaded,
+      net, split.test, array, outcome.recovered,
       systolic::SystolicGemmEngine::FaultHandling::kCorrupt);
   core::MitigationConfig cfg;
   cfg.array = array;
   cfg.retrain_epochs = 1;
   cfg.eval_each_epoch = false;
   const core::MitigationResult r =
-      core::run_falvolt(net, reloaded, split.train, split.test, cfg);
+      core::run_falvolt(net, outcome.recovered, split.train, split.test, cfg);
   EXPECT_GE(r.final_accuracy, 0.0);
   EXPECT_LE(faulty, 100.0);
   EXPECT_EQ(r.method, "FalVolt");

@@ -22,6 +22,16 @@
 namespace falvolt::core {
 namespace {
 
+// One grid through a FleetRunner, the way a figure bench runs it.
+ResultTable run_grid(const WorkloadOptions& opts,
+                     const std::vector<Scenario>& scenarios, ScenarioFn fn,
+                     SweepStoreOptions store = {}, bool baselines = true) {
+  FleetRunner runner(opts);
+  runner.set_prepare_baselines(baselines);
+  runner.add_grid({std::move(store), scenarios, std::move(fn)});
+  return std::move(runner.run().front());
+}
+
 TEST(Sweep, ScenarioSeedIsKeyedAndDeterministic) {
   Scenario a;
   a.key = "MNIST/rate=30/vth=0.45";
@@ -95,22 +105,19 @@ TEST(Sweep, ShardPartialTableSkipsAbsentRowsAndFailsLookups) {
 }
 
 TEST(Sweep, DuplicateScenarioKeyThrows) {
-  SweepRunner runner(WorkloadOptions{});
-  runner.set_prepare_baselines(false);
   std::vector<Scenario> scenarios(2);
   scenarios[0].key = scenarios[1].key = "dup";
-  EXPECT_THROW(runner.run(scenarios,
-                          [](const Scenario&, const SweepContext&) {
-                            return ScenarioResult{};
-                          }),
+  EXPECT_THROW(run_grid(WorkloadOptions{}, scenarios,
+                        [](const Scenario&, const SweepContext&) {
+                          return ScenarioResult{};
+                        },
+                        {}, /*baselines=*/false),
                std::invalid_argument);
 }
 
 TEST(Sweep, ScenarioFailureFailsTheSweepAndStopsClaiming) {
   WorkloadOptions opts;
   opts.sweep_parallel = 2;
-  SweepRunner runner(opts);
-  runner.set_prepare_baselines(false);
   std::vector<Scenario> scenarios(8);
   for (int i = 0; i < 8; ++i) {
     scenarios[i].key = std::string("s") + std::to_string(i);
@@ -120,14 +127,14 @@ TEST(Sweep, ScenarioFailureFailsTheSweepAndStopsClaiming) {
   // so at most s0 and the one already-claimed sibling ever start.
   std::atomic<int> started{0};
   try {
-    runner.run(scenarios,
-               [&](const Scenario& s, const SweepContext&) {
-                 ++started;
-                 if (s.key == "s0") throw std::runtime_error("boom");
-                 std::this_thread::sleep_for(
-                     std::chrono::milliseconds(200));
-                 return ScenarioResult{};
-               });
+    run_grid(opts, scenarios,
+             [&](const Scenario& s, const SweepContext&) {
+               ++started;
+               if (s.key == "s0") throw std::runtime_error("boom");
+               std::this_thread::sleep_for(std::chrono::milliseconds(200));
+               return ScenarioResult{};
+             },
+             {}, /*baselines=*/false);
     FAIL() << "expected the sweep to fail";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("s0"), std::string::npos);
@@ -164,20 +171,16 @@ TEST(Sweep, ParallelSweepOverlapsScenarios) {
 
   WorkloadOptions serial;
   serial.sweep_parallel = 1;
-  SweepRunner r1(serial);
-  r1.set_prepare_baselines(false);
   common::Timer t1;
-  r1.run(scenarios, sleeper);
+  run_grid(serial, scenarios, sleeper, {}, /*baselines=*/false);
   const double serial_s = t1.seconds();
   EXPECT_EQ(high_water.load(), 1);  // serial sweeps never overlap
 
   high_water.store(0);
   WorkloadOptions par;
   par.sweep_parallel = 4;
-  SweepRunner r4(par);
-  r4.set_prepare_baselines(false);
   common::Timer t4;
-  r4.run(scenarios, sleeper);
+  run_grid(par, scenarios, sleeper, {}, /*baselines=*/false);
   const double parallel_s = t4.seconds();
 
   std::printf("[sweep] 8-scenario grid: serial %.2f s, sweep-parallel=4 "
@@ -255,16 +258,15 @@ TEST_F(SweepWorkloadTest, TablesAreByteIdenticalAcrossParallelism) {
   for (const int parallel : {1, 2, 8}) {
     WorkloadOptions opts = options();
     opts.sweep_parallel = parallel;
-    SweepRunner runner(opts);
-    runner.prepare(scenarios);
-    const data::Dataset eval_set =
-        eval_subset(runner.context().workload(DatasetKind::kMnist), 16);
-    ResultTable table = runner.run(
-        scenarios, [&](const Scenario& s, const SweepContext& ctx) {
+    // The eval subset is built lazily from the context, as bench::EvalSets
+    // does: baselines are prepared inside run(), not before it.
+    ResultTable table = run_grid(
+        opts, scenarios, [](const Scenario& s, const SweepContext& ctx) {
           ScenarioResult out;
           out.metrics = {
               {"accuracy",
-               eval_scenario(s, ctx.clone_network(s.dataset), eval_set)}};
+               eval_scenario(s, ctx.clone_network(s.dataset),
+                             eval_subset(ctx.workload(s.dataset), 16))}};
           return out;
         });
     EXPECT_EQ(table.sweep_parallel(), std::min<int>(parallel, 6));
@@ -313,9 +315,8 @@ TEST_F(SweepWorkloadTest, RetrainScenariosAreByteIdenticalAcrossParallelism) {
   for (const int parallel : {1, 2}) {
     WorkloadOptions opts = options();
     opts.sweep_parallel = parallel;
-    SweepRunner runner(opts);
-    ResultTable table = runner.run(
-        scenarios, [&](const Scenario& s, const SweepContext& ctx) {
+    ResultTable table = run_grid(
+        opts, scenarios, [](const Scenario& s, const SweepContext& ctx) {
           const Workload& wl = ctx.workload(s.dataset);
           snn::Network net = ctx.clone_network(s.dataset);
           common::Rng rng(s.fault_seed);
@@ -379,9 +380,7 @@ TEST_F(SweepWorkloadTest, StoreShardsMergeAndWarmRunsAreByteIdentical) {
   const auto run_with = [&](const std::string& dir, int index, int count) {
     WorkloadOptions opts = options();
     opts.sweep_parallel = 2;
-    SweepRunner runner(opts);
-    runner.set_store(store_opts(dir, index, count));
-    return runner.run(scenarios, fn);
+    return run_grid(opts, scenarios, fn, store_opts(dir, index, count));
   };
 
   const ResultTable full = run_with(store_root + "_u", 0, 1);
@@ -479,14 +478,12 @@ TEST_F(SweepWorkloadTest, RetrainGridShardsAndWarmRunsAreByteIdentical) {
     return out;
   };
   const auto run_with = [&](const std::string& dir, int index, int count) {
-    SweepRunner runner(options());
     SweepStoreOptions st;
     st.dir = dir;
     st.bench = "fig2_like";
     st.shard_index = index;
     st.shard_count = count;
-    runner.set_store(st);
-    return runner.run(scenarios, fn);
+    return run_grid(options(), scenarios, fn, st);
   };
 
   const ResultTable full = run_with(store_root + "_u", 0, 1);
@@ -517,14 +514,25 @@ TEST_F(SweepWorkloadTest, RetrainGridShardsAndWarmRunsAreByteIdentical) {
 }
 
 TEST_F(SweepWorkloadTest, CloneNetworkGivesIndependentBaselineCopies) {
-  SweepRunner runner(options());
   std::vector<Scenario> scenarios(1);
   scenarios[0].key = "probe";
   scenarios[0].dataset = DatasetKind::kMnist;
-  const SweepContext& ctx = runner.prepare(scenarios);
-
-  snn::Network a = ctx.clone_network(DatasetKind::kMnist);
-  snn::Network b = ctx.clone_network(DatasetKind::kMnist);
+  // Two clones and a freshly initialized network, taken from inside the
+  // scenario function — the only place the prepared baseline is visible.
+  std::vector<snn::Network> nets;
+  run_grid(options(), scenarios,
+           [&nets](const Scenario& s, const SweepContext& ctx) {
+             nets.push_back(ctx.clone_network(s.dataset));
+             nets.push_back(ctx.clone_network(s.dataset));
+             nets.push_back(build_network(
+                 s.dataset, ctx.workload(s.dataset).data.train,
+                 options().seed));
+             return ScenarioResult{};
+           });
+  ASSERT_EQ(nets.size(), 3u);
+  snn::Network& a = nets[0];
+  snn::Network& b = nets[1];
+  snn::Network& fresh = nets[2];
   const auto pa = a.params();
   const auto pb = b.params();
   ASSERT_EQ(pa.size(), pb.size());
@@ -533,9 +541,6 @@ TEST_F(SweepWorkloadTest, CloneNetworkGivesIndependentBaselineCopies) {
     EXPECT_EQ(tensor::max_abs_diff(pa[i]->value, pb[i]->value), 0.0);
   }
   // Clones carry the trained baseline, not a fresh initialization.
-  snn::Network fresh = build_network(
-      DatasetKind::kMnist,
-      ctx.workload(DatasetKind::kMnist).data.train, options().seed);
   double diff_from_fresh = 0.0;
   const auto pf = fresh.params();
   for (std::size_t i = 0; i < pa.size(); ++i) {

@@ -1,4 +1,4 @@
-// SweepRunner x LocalDirStore integration: resume/warm-run semantics,
+// FleetRunner x LocalDirStore integration: resume/warm-run semantics,
 // deterministic sharding, fingerprint invalidation, and the codec the
 // records travel through. Uses workload-free scenario functions so the
 // store machinery is exercised without training anything.
@@ -66,7 +66,7 @@ class SweepStoreTest : public ::testing::Test {
   }
 
   // Deterministic cell computation whose invocations we can count.
-  SweepRunner::ScenarioFn counting_fn(std::atomic<int>& computed) {
+  ScenarioFn counting_fn(std::atomic<int>& computed) {
     return [&computed](const Scenario& s, const SweepContext&) {
       ++computed;
       ScenarioResult out;
@@ -78,11 +78,19 @@ class SweepStoreTest : public ::testing::Test {
     };
   }
 
-  SweepRunner runner(const SweepStoreOptions& st) {
-    SweepRunner r{WorkloadOptions{}};
+  // One workload-free grid run against the store `st`.
+  static ResultTable run(const SweepStoreOptions& st,
+                         const std::vector<Scenario>& scenarios,
+                         ScenarioFn fn) {
+    FleetRunner r{WorkloadOptions{}};
     r.set_prepare_baselines(false);
-    r.set_store(st);
-    return r;
+    r.add_grid({st, scenarios, std::move(fn)});
+    return std::move(r.run().front());
+  }
+
+  static std::string fingerprint(const Scenario& s,
+                                 const WorkloadOptions& opts = {}) {
+    return fingerprint_cell(store_opts(""), opts, s);
   }
 
   std::string dir_;
@@ -92,15 +100,15 @@ TEST_F(SweepStoreTest, WarmRerunComputesNothingAndIsByteIdentical) {
   const std::vector<Scenario> scenarios = grid();
   std::atomic<int> computed{0};
 
-  SweepRunner cold = runner(store_opts(dir_));
-  const ResultTable t_cold = cold.run(scenarios, counting_fn(computed));
+  const ResultTable t_cold =
+      run(store_opts(dir_), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6);
   EXPECT_TRUE(t_cold.complete());
   EXPECT_EQ(t_cold.computed_cells(), 6u);
   EXPECT_EQ(t_cold.cached_cells(), 0u);
 
-  SweepRunner warm = runner(store_opts(dir_));
-  const ResultTable t_warm = warm.run(scenarios, counting_fn(computed));
+  const ResultTable t_warm =
+      run(store_opts(dir_), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6) << "warm run must not recompute";
   EXPECT_TRUE(t_warm.complete());
   EXPECT_EQ(t_warm.computed_cells(), 0u);
@@ -120,10 +128,10 @@ TEST_F(SweepStoreTest, WarmRerunComputesNothingAndIsByteIdentical) {
 TEST_F(SweepStoreTest, ResumeFalseRecomputesEverything) {
   const std::vector<Scenario> scenarios = grid();
   std::atomic<int> computed{0};
-  runner(store_opts(dir_)).run(scenarios, counting_fn(computed));
+  run(store_opts(dir_), scenarios, counting_fn(computed));
   SweepStoreOptions st = store_opts(dir_);
   st.resume = false;
-  const ResultTable t = runner(st).run(scenarios, counting_fn(computed));
+  const ResultTable t = run(st, scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 12);
   EXPECT_EQ(t.computed_cells(), 6u);
 }
@@ -134,14 +142,14 @@ TEST_F(SweepStoreTest, ShardsPartitionDeterministicallyAndMergeExactly) {
 
   // The unsharded reference table.
   const ResultTable t_full =
-      runner(store_opts(dir_ + "_u")).run(scenarios, counting_fn(computed));
+      run(store_opts(dir_ + "_u"), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6);
 
   // Two shards, separate stores (separate machines).
-  const ResultTable t0 = runner(store_opts(dir_ + "_a", 0, 2))
-                             .run(scenarios, counting_fn(computed));
-  const ResultTable t1 = runner(store_opts(dir_ + "_b", 1, 2))
-                             .run(scenarios, counting_fn(computed));
+  const ResultTable t0 =
+      run(store_opts(dir_ + "_a", 0, 2), scenarios, counting_fn(computed));
+  const ResultTable t1 =
+      run(store_opts(dir_ + "_b", 1, 2), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6 + 6);  // each shard computed half
   EXPECT_FALSE(t0.complete());
   EXPECT_FALSE(t1.complete());
@@ -183,11 +191,11 @@ TEST_F(SweepStoreTest, ResumeComputesOnlyTheMissingCells) {
   const std::vector<Scenario> scenarios = grid();
   std::atomic<int> computed{0};
   // A "killed" sweep: only shard 0/2's cells made it into the store.
-  runner(store_opts(dir_, 0, 2)).run(scenarios, counting_fn(computed));
+  run(store_opts(dir_, 0, 2), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 3);
   // The rerun resumes: replays the 3 cached cells, computes the rest.
   const ResultTable t =
-      runner(store_opts(dir_)).run(scenarios, counting_fn(computed));
+      run(store_opts(dir_), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6);
   EXPECT_TRUE(t.complete());
   EXPECT_EQ(t.cached_cells(), 3u);
@@ -198,11 +206,11 @@ TEST_F(SweepStoreTest, ForeignShardCachedCellsAreReplayed) {
   const std::vector<Scenario> scenarios = grid();
   std::atomic<int> computed{0};
   // Shard 1's cells land in the SHARED store first...
-  runner(store_opts(dir_, 1, 2)).run(scenarios, counting_fn(computed));
+  run(store_opts(dir_, 1, 2), scenarios, counting_fn(computed));
   // ...so shard 0 pointed at the same store replays them for free and
   // its table is already complete.
   const ResultTable t =
-      runner(store_opts(dir_, 0, 2)).run(scenarios, counting_fn(computed));
+      run(store_opts(dir_, 0, 2), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6);
   EXPECT_TRUE(t.complete());
   EXPECT_EQ(t.cached_cells(), 3u);
@@ -211,53 +219,48 @@ TEST_F(SweepStoreTest, ForeignShardCachedCellsAreReplayed) {
 TEST_F(SweepStoreTest, FingerprintInvalidationOnConfigAndRetrainChange) {
   std::vector<Scenario> scenarios = grid();
   std::atomic<int> computed{0};
-  runner(store_opts(dir_)).run(scenarios, counting_fn(computed));
+  run(store_opts(dir_), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6);
 
   // Result-affecting bench config changed (e.g. --epochs 4 -> 8): every
   // cell re-addresses, nothing stale hits.
   SweepStoreOptions st = store_opts(dir_);
   st.config = {{"epochs", "8"}};
-  runner(st).run(scenarios, counting_fn(computed));
+  run(st, scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 12);
 
   // Per-scenario retrain config changed: only via the fingerprint.
-  SweepRunner probe = runner(store_opts(dir_));
   Scenario s = scenarios[0];
-  const std::string base = probe.fingerprint(s);
+  const std::string base = fingerprint(s);
   s.epochs = 9;
-  EXPECT_NE(probe.fingerprint(s), base);
+  EXPECT_NE(fingerprint(s), base);
   s = scenarios[0];
   s.retrain = true;
-  EXPECT_NE(probe.fingerprint(s), base);
+  EXPECT_NE(fingerprint(s), base);
   s = scenarios[0];
   s.vth = 0.55;
-  EXPECT_NE(probe.fingerprint(s), base);
-  EXPECT_EQ(probe.fingerprint(scenarios[0]), base);
+  EXPECT_NE(fingerprint(s), base);
+  EXPECT_EQ(fingerprint(scenarios[0]), base);
 
   // Workload seed is part of the address too (it retrains the baseline).
   WorkloadOptions other_seed;
   other_seed.seed = 8;
-  SweepRunner seeded{other_seed};
-  seeded.set_prepare_baselines(false);
-  seeded.set_store(store_opts(dir_));
-  EXPECT_NE(seeded.fingerprint(scenarios[0]), base);
+  EXPECT_NE(fingerprint(scenarios[0], other_seed), base);
 }
 
 TEST_F(SweepStoreTest, CorruptRecordIsRecomputedNotTrusted) {
   const std::vector<Scenario> scenarios = grid();
   std::atomic<int> computed{0};
-  SweepRunner cold = runner(store_opts(dir_));
-  cold.run(scenarios, counting_fn(computed));
+  run(store_opts(dir_), scenarios, counting_fn(computed));
 
   // Truncate one record in place (mid-download crash, disk rot...).
   const store::LocalDirStore rs(dir_);
-  const std::string fp = cold.fingerprint(scenarios[2]);
+  const std::string fp = fingerprint(scenarios[2]);
   ASSERT_TRUE(rs.contains(fp));
   fs::resize_file(rs.object_path(fp), 20);
 
   const ResultTable t =
-      runner(store_opts(dir_)).run(scenarios, counting_fn(computed));
+      run(store_opts(dir_), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 7);  // exactly the damaged cell
   EXPECT_TRUE(t.complete());
   EXPECT_EQ(t.cached_cells(), 5u);
@@ -269,7 +272,7 @@ TEST_F(SweepStoreTest, CompactedStoreWarmRerunComputesNothing) {
   const std::vector<Scenario> scenarios = grid();
   std::atomic<int> computed{0};
   const ResultTable t_cold =
-      runner(store_opts(dir_)).run(scenarios, counting_fn(computed));
+      run(store_opts(dir_), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6);
 
   // Pack every cell into a segment; no loose record remains.
@@ -281,7 +284,7 @@ TEST_F(SweepStoreTest, CompactedStoreWarmRerunComputesNothing) {
   // The warm run is served entirely from the segment — zero cells
   // computed, tables byte-identical to the loose-store run.
   const ResultTable t_warm =
-      runner(store_opts(dir_)).run(scenarios, counting_fn(computed));
+      run(store_opts(dir_), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6) << "compacted store must not recompute";
   EXPECT_TRUE(t_warm.complete());
   EXPECT_EQ(t_warm.computed_cells(), 0u);
@@ -298,7 +301,7 @@ TEST_F(SweepStoreTest, SubstitutersServeCellsComputedElsewhere) {
   // the substituter path is exercised through segments too).
   const std::string dir_a = dir_ + "_a";
   const ResultTable t_a =
-      runner(store_opts(dir_a)).run(scenarios, counting_fn(computed));
+      run(store_opts(dir_a), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6);
   store::compact_store(store::LocalDirStore(dir_a));
 
@@ -306,7 +309,7 @@ TEST_F(SweepStoreTest, SubstitutersServeCellsComputedElsewhere) {
   // nothing is ever written into A.
   SweepStoreOptions st_b = store_opts(dir_);
   st_b.substituters = {dir_a};
-  const ResultTable t_b = runner(st_b).run(scenarios, counting_fn(computed));
+  const ResultTable t_b = run(st_b, scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6) << "every cell substituted";
   EXPECT_TRUE(t_b.complete());
   EXPECT_EQ(t_b.computed_cells(), 0u);
@@ -320,7 +323,7 @@ TEST_F(SweepStoreTest, SubstitutersServeCellsComputedElsewhere) {
   // A typo'd substituter fails loudly instead of missing everything.
   SweepStoreOptions st_typo = store_opts(dir_ + "_fresh");
   st_typo.substituters = {dir_ + "_nope"};
-  EXPECT_THROW(runner(st_typo).run(scenarios, counting_fn(computed)),
+  EXPECT_THROW(run(st_typo, scenarios, counting_fn(computed)),
                std::invalid_argument);
   fs::remove_all(dir_a);
   fs::remove_all(dir_ + "_fresh");
