@@ -36,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -622,8 +623,7 @@ int main(int argc, char** argv) try {
       if (!tables[g].complete() || tables[g].size() == 0) continue;
       const std::string table_dir = store_spec.path + "/tables";
       const std::string path = table_dir + "/" + specs[g].def->name + ".csv";
-      if (!io::env().mkdirs(table_dir) ||
-          !io::env().write_file(path, tables[g].to_csv())) {
+      if (!io::publish_file(path, tables[g].to_csv())) {
         std::fprintf(stderr, "sweep_fleet: cannot write %s\n", path.c_str());
         return 1;
       }
@@ -639,18 +639,15 @@ int main(int argc, char** argv) try {
   }
 
   if (!cli.get_string("json").empty()) {
-    std::ofstream out(cli.get_string("json"));
-    if (!out) {
-      std::fprintf(stderr, "sweep_fleet: cannot open %s\n",
-                   cli.get_string("json").c_str());
-      return 1;
-    }
+    std::ostringstream out;
     // In daemon mode the run block reports the DAEMON's ledger — what
     // the forked workers actually computed — not the parent's warm
     // replay (which by construction computes zero cells).
     const long run_workers =
         daemon_mode ? hosts
                     : (tables.empty() ? 0 : tables.front().sweep_parallel());
+    // total_seconds is the cell phase, the time worker utilization is a
+    // share of; baseline_seconds is the baseline phase before it.
     const double run_seconds = daemon_mode ? daemon_seconds : total_seconds;
     const std::size_t run_computed =
         daemon_mode ? static_cast<std::size_t>(dstats.computed) : computed;
@@ -661,6 +658,7 @@ int main(int argc, char** argv) try {
         << common::json_escape(store_dir)
         << "\",\n  \"run\": {\"workers\": " << run_workers
         << ", \"total_seconds\": " << run_seconds
+        << ", \"baseline_seconds\": " << fleet.baseline_seconds()
         << ", \"cells_computed\": " << run_computed
         << ", \"cells_cached\": " << run_cached
         << ", \"cells_absent\": " << absent << "},\n";
@@ -708,6 +706,11 @@ int main(int argc, char** argv) try {
     // summary read. Figure tables and cell records never carry it.
     out << "  ],\n  \"metrics\": "
         << obs::encode_metrics_json(obs::snapshot_metrics(), 2) << "\n}\n";
+    if (!io::publish_file(cli.get_string("json"), out.str())) {
+      std::fprintf(stderr, "sweep_fleet: cannot write %s\n",
+                   cli.get_string("json").c_str());
+      return 1;
+    }
     std::printf("[fleet] summary JSON written to %s\n",
                 cli.get_string("json").c_str());
   }

@@ -121,6 +121,12 @@ void ThreadPool::parallel_for(int begin, int end, int grain,
   body_ = nullptr;
 }
 
+InlineScope::InlineScope() : outer_(t_in_parallel_region) {
+  t_in_parallel_region = true;
+}
+
+InlineScope::~InlineScope() { t_in_parallel_region = outer_; }
+
 int default_threads() {
   const long long env = common::env_int_or("FALVOLT_THREADS", 0);
   if (env > 0) {

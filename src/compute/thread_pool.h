@@ -66,6 +66,23 @@ class ThreadPool {
   int chunk_ = 1;
 };
 
+/// While alive, every parallel_for the calling thread makes runs inline,
+/// as it does inside a pool worker's body. For a thread that works beside
+/// others of its kind outside any pool (FleetRunner's concurrent baseline
+/// trainings): its GEMMs never drive a shared pool from a second outside
+/// thread, and the threads together use one core each.
+class InlineScope {
+ public:
+  InlineScope();
+  ~InlineScope();
+
+  InlineScope(const InlineScope&) = delete;
+  InlineScope& operator=(const InlineScope&) = delete;
+
+ private:
+  bool outer_;
+};
+
 /// Threads the process-wide pool was requested to use: FALVOLT_THREADS
 /// when set to a positive integer, else std::thread::hardware_concurrency.
 int default_threads();

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -150,17 +149,10 @@ void save_params(snn::Network& net, const std::string& path) {
   // Staged next to the final file and renamed over it: concurrent
   // writers of one cache entry (fleet workers that both missed it) each
   // publish a complete file, and a crash never leaves a partial one
-  // under the final name.
-  const std::filesystem::path file(path);
-  const std::string dir = file.parent_path().string();
-  io::atomic_publish(dir.empty() ? "." : dir, file.filename().string(), path,
-                     bytes);
-  // The format carries no checksum, so a damaged write (a torn or
-  // bit-flipped write under --faults) would load silently later. Read
-  // it back once and drop a file that does not match: the next run
-  // retrains instead of trusting it.
-  const std::optional<std::string> back = io::env().read_file(path);
-  if (!back || *back != bytes) io::env().unlink_file(path);
+  // under the final name. The format carries no checksum, so a damaged
+  // write (torn or bit-flipped under --faults) must never publish:
+  // publish_file drops it, and the next run retrains instead.
+  io::publish_file(path, bytes);
 }
 
 bool load_params(snn::Network& net, const std::string& path) {

@@ -3,6 +3,12 @@
 // dataset + matching paper architecture, trains the baseline model, and
 // caches the trained weights on disk so the whole bench suite pays the
 // baseline-training cost only once per dataset.
+//
+// prepare_workload may run for several datasets at once (FleetRunner
+// trains a fleet's uncached baselines side by side, one thread per
+// dataset). Calls for different datasets share nothing but the global
+// GEMM pool, which a call resizes only when `threads` > 0; concurrent
+// callers pass 0 and size the pool once before they start.
 
 #include <string>
 
@@ -43,7 +49,8 @@ struct WorkloadOptions {
   bool ignore_cache = false;
   /// Worker threads for the compute backend (applied to the global pool
   /// before training): 0 keeps the current pool ($FALVOLT_THREADS or the
-  /// hardware concurrency on first use).
+  /// hardware concurrency on first use). core::FleetRunner trains at
+  /// most as many uncached baselines at once as the pool has threads.
   int threads = 0;
   /// Concurrent scenarios for core::FleetRunner: 1 runs the grid
   /// serially (GEMM-level parallelism stays fully available), N > 1 runs
@@ -87,9 +94,9 @@ snn::Network build_network(DatasetKind kind, const data::Dataset& train,
 int default_retrain_epochs(DatasetKind kind, bool fast);
 
 /// Serialize all network parameters to a flat binary file, published
-/// through io::atomic_publish (the io::Env seam): readers see either the
-/// previous file or the complete new one, never a partial write. A file
-/// whose read-back does not match the serialized bytes is removed.
+/// through io::publish_file (the io::Env seam): readers see either the
+/// previous file or the complete new one, never a partial write, and a
+/// write whose staged copy does not read back intact is not published.
 /// Throws std::runtime_error when the file cannot be published.
 void save_params(snn::Network& net, const std::string& path);
 

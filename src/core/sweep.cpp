@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
-#include <fstream>
+#include <exception>
 #include <stdexcept>
 #include <thread>
 
@@ -19,6 +19,7 @@
 #include "common/timer.h"
 #include "common/version.h"
 #include "compute/thread_pool.h"
+#include "io/env.h"
 #include "io/fault_injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -438,9 +439,9 @@ std::string ResultTable::to_json(const std::string& bench_name) const {
 
 void ResultTable::write_json(const std::string& path,
                              const std::string& bench_name) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("ResultTable: cannot open " + path);
-  out << to_json(bench_name);
+  if (!io::publish_file(path, to_json(bench_name))) {
+    throw std::runtime_error("ResultTable: damaged write of " + path);
+  }
 }
 
 // ----------------------------------------------------------- SweepContext
@@ -521,17 +522,75 @@ void FleetRunner::add_grid(FleetGrid grid) {
 void FleetRunner::prepare_kinds(const std::set<DatasetKind>& kinds) {
   static obs::Counter& ns = obs::counter("sweep.baseline.ns");
   static obs::Counter& count = obs::counter("sweep.baseline.count");
+  std::vector<DatasetKind> todo;
   for (const DatasetKind kind : kinds) {
-    if (ctx_.baselines_.count(kind)) continue;
-    obs::TraceSpan span("sweep", std::string("baseline:") + dataset_name(kind));
-    obs::ScopedTimer timed(ns, count);
-    Workload wl = prepare_workload(kind, opts_);
+    if (!ctx_.baselines_.count(kind)) todo.push_back(kind);
+  }
+  if (todo.empty()) return;
+  // One wall-clock reading for the whole phase: overlapping trainings
+  // timed one by one would sum to more than the phase took. The
+  // per-dataset times live in the baseline:<dataset> trace spans.
+  common::Timer phase;
+  const auto commit = [this](Workload wl) {
     std::vector<tensor::Tensor> snapshot = wl.net.snapshot_params();
     if (on_baseline_) on_baseline_(wl);
+    const DatasetKind kind = wl.kind;
     ctx_.order_.push_back(kind);
     ctx_.baselines_.emplace(
         kind, SweepContext::Baseline{std::move(wl), std::move(snapshot)});
+    count.add(1);
+  };
+
+  // Training barely uses the GEMM pool (its rows are small), so several
+  // uncached baselines train side by side, one thread per dataset, up to
+  // the --threads budget. One dataset, or --threads 1, trains on this
+  // thread with the full pool.
+  int lanes = 1;
+  if (todo.size() > 1) {
+    if (opts_.threads > 0) compute::set_global_threads(opts_.threads);
+    lanes = std::min(static_cast<int>(todo.size()), compute::global_threads());
   }
+  if (lanes <= 1) {
+    for (const DatasetKind kind : todo) {
+      obs::TraceSpan span("sweep",
+                          std::string("baseline:") + dataset_name(kind));
+      commit(prepare_workload(kind, opts_));
+    }
+  } else {
+    WorkloadOptions inner = opts_;
+    inner.threads = 0;  // the pool is sized above, before any thread starts
+    std::vector<std::optional<Workload>> ready(todo.size());
+    std::vector<std::exception_ptr> errors(todo.size());
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < lanes; ++t) {
+      threads.emplace_back([&] {
+        const compute::InlineScope inline_gemms;
+        for (std::size_t i = next++; i < todo.size(); i = next++) {
+          const std::string name = dataset_name(todo[i]);
+          if (obs::trace_enabled()) {
+            obs::set_trace_thread_name("baseline " + name);
+          }
+          obs::TraceSpan span("sweep", "baseline:" + name);
+          try {
+            ready[i] = prepare_workload(todo[i], inner);
+          } catch (...) {
+            errors[i] = std::current_exception();
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    // Commit in dataset order and stop at the first failure, as the
+    // serial loop does: snapshots, callbacks and their output, and the
+    // context order never depend on which training finished first.
+    for (std::size_t i = 0; i < todo.size(); ++i) {
+      if (errors[i]) std::rethrow_exception(errors[i]);
+      commit(std::move(*ready[i]));
+    }
+  }
+  baseline_seconds_ = phase.seconds();
+  ns.add(static_cast<std::uint64_t>(baseline_seconds_ * 1e9));
 }
 
 int FleetRunner::effective_parallel(std::size_t n) const {
@@ -699,6 +758,7 @@ std::vector<ResultTable> FleetRunner::run() {
   if (grids_.empty()) {
     throw std::logic_error("FleetRunner: no grids added");
   }
+  baseline_seconds_ = 0.0;
   std::vector<GridState> gs;
   gs.reserve(grids_.size());
   for (std::size_t g = 0; g < grids_.size(); ++g) gs.push_back(triage(g));

@@ -8,9 +8,12 @@
 // byte-identical to a serial run:
 //
 //  - The baseline model of each dataset is trained (or cache-loaded)
-//    exactly once, serially, with full GEMM-level parallelism; every
-//    scenario then works on an independent clone restored from the
-//    immutable parameter snapshot.
+//    exactly once, before the first cell starts. One baseline trains
+//    with full GEMM-level parallelism; several train side by side, one
+//    thread per dataset with its GEMMs inline, up to the `threads`
+//    budget, and are committed in dataset order, so snapshots, callbacks
+//    and cache bytes match a serial run. Every scenario then works on an
+//    independent clone restored from the immutable parameter snapshot.
 //  - All randomness inside a scenario is seeded from the scenario itself
 //    (its explicit `fault_seed`, or a stream derived from its `key` via
 //    scenario_rng), never from shared mutable state, so results do not
@@ -321,6 +324,9 @@ class ResultTable {
   /// object, so warm/cold runs of one grid can be diffed by dropping
   /// that one line.
   std::string to_json(const std::string& bench_name) const;
+  /// Publish to_json() at `path` through io::publish_file: a crash or a
+  /// damaged write leaves the previous file or none, never a partial
+  /// one. Throws std::runtime_error when nothing was published.
   void write_json(const std::string& path,
                   const std::string& bench_name) const;
 
@@ -415,12 +421,19 @@ class FleetRunner {
   /// need computing).
   const SweepContext& context() const { return ctx_; }
 
+  /// Called once per prepared baseline, on run()'s thread, in dataset
+  /// order, before any cell starts.
   void set_on_baseline(std::function<void(const Workload&)> cb) {
     on_baseline_ = std::move(cb);
   }
   /// Skip workload preparation (grids whose scenario functions never
   /// touch a dataset or baseline network).
   void set_prepare_baselines(bool enabled) { prepare_baselines_ = enabled; }
+
+  /// Wall time of the last run()'s baseline phase: every dataset it
+  /// trained or cache-loaded, concurrent trainings counted once. 0 when
+  /// the run prepared no baseline.
+  double baseline_seconds() const { return baseline_seconds_; }
 
   /// Per-worker accounting of the last run() (empty before any run).
   const std::vector<WorkerStats>& worker_stats() const {
@@ -466,6 +479,7 @@ class FleetRunner {
   bool prepare_baselines_ = true;
   CellQueue* cell_queue_ = nullptr;
   std::vector<WorkerStats> worker_stats_;
+  double baseline_seconds_ = 0.0;
 };
 
 }  // namespace falvolt::core

@@ -97,8 +97,13 @@ Env& env() {
 
 void set_env(Env* e) { g_env.store(e, std::memory_order_release); }
 
-void atomic_publish(const std::string& staging_dir, const std::string& prefix,
-                    const std::string& final_path, const std::string& bytes) {
+namespace {
+
+// Returns false only when `verify` is set and the staged bytes do not
+// read back intact (nothing is published).
+bool publish(const std::string& staging_dir, const std::string& prefix,
+             const std::string& final_path, const std::string& bytes,
+             bool verify) {
   Env& e = env();
   if (!e.mkdirs(staging_dir)) {
     throw std::runtime_error("atomic_publish: cannot create staging dir " +
@@ -120,6 +125,13 @@ void atomic_publish(const std::string& staging_dir, const std::string& prefix,
   if (!e.write_file(tmp, bytes)) {
     e.unlink_file(tmp);
     throw std::runtime_error("atomic_publish: cannot stage " + tmp);
+  }
+  if (verify) {
+    const std::optional<std::string> back = e.read_file(tmp);
+    if (!back || *back != bytes) {
+      e.unlink_file(tmp);
+      return false;
+    }
   }
   // Staged but not durable: a crash here leaves only tmp garbage
   // (reclaimed by GC), never a visible partial record.
@@ -147,6 +159,21 @@ void atomic_publish(const std::string& staging_dir, const std::string& prefix,
   }
   // Fully published; a crash now must find the complete record.
   FALVOLT_PTP();
+  return true;
+}
+
+}  // namespace
+
+void atomic_publish(const std::string& staging_dir, const std::string& prefix,
+                    const std::string& final_path, const std::string& bytes) {
+  publish(staging_dir, prefix, final_path, bytes, /*verify=*/false);
+}
+
+bool publish_file(const std::string& path, const std::string& bytes) {
+  const fs::path file(path);
+  const std::string dir = file.parent_path().string();
+  return publish(dir.empty() ? "." : dir, file.filename().string(), path,
+                 bytes, /*verify=*/true);
 }
 
 }  // namespace falvolt::io

@@ -97,4 +97,12 @@ void set_env(Env* e);
 void atomic_publish(const std::string& staging_dir, const std::string& prefix,
                     const std::string& final_path, const std::string& bytes);
 
+/// atomic_publish for a standalone output file with no checksum of its
+/// own (a figure table, a JSON summary, a baseline cache): staged beside
+/// `path`, and the staged copy is read back before the rename, so a torn
+/// or bit-flipped write is dropped instead of published. Returns false
+/// in that case (`path` keeps its previous content); throws like
+/// atomic_publish when a step fails outright.
+bool publish_file(const std::string& path, const std::string& bytes);
+
 }  // namespace falvolt::io

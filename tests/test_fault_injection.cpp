@@ -319,8 +319,8 @@ TEST_F(FaultInjectionTest, BaselineCacheSurvivesPlugPullAtEveryBoundary) {
 }
 
 // A torn cache write "succeeds" (the writer lies), so save_params reads
-// its file back and drops it: the next run retrains instead of loading
-// a damaged baseline.
+// its staged copy back and never publishes it: the next run retrains
+// instead of loading a damaged baseline.
 TEST_F(FaultInjectionTest, DamagedBaselineCacheWriteIsDropped) {
   const std::string path = dir_ + "/cache/baseline.bin";
   snn::Network saved = small_net(1);
@@ -333,6 +333,48 @@ TEST_F(FaultInjectionTest, DamagedBaselineCacheWriteIsDropped) {
   core::save_params(saved, path);  // a clean write publishes normally
   snn::Network loaded = small_net(2);
   EXPECT_TRUE(core::load_params(loaded, path));
+}
+
+// A sweep's JSON summary is published the same way: a plug pulled at
+// each of the six publish fault points leaves no summary or the
+// complete one, never a prefix, and a damaged write is never published.
+TEST_F(FaultInjectionTest, SweepSummarySurvivesPlugPullAtEveryBoundary) {
+  std::atomic<int> computed{0};
+  const ResultTable table = run(store_opts(""), grid(), counting_fn(computed));
+  const std::string want = table.to_json("fault_test");
+  for (std::uint64_t runlen = 1; runlen <= 6; ++runlen) {
+    const std::string path =
+        dir_ + "/summary" + std::to_string(runlen) + ".json";
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      FaultSpec spec;
+      spec.mode = FaultMode::kRunLength;
+      spec.run_length = runlen;
+      spec.kill = true;
+      spec.torn_writes = false;
+      spec.bitflips = false;
+      arm_faults(spec);
+      table.write_json(path, "fault_test");
+      ::_exit(0);  // only reached if no kill point fired
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status))
+        << "runlen=" << runlen << ": the summary write bypassed io::Env";
+    EXPECT_EQ(WTERMSIG(status), SIGKILL);
+    if (runlen <= 4) {
+      EXPECT_FALSE(fs::exists(path)) << "runlen=" << runlen;
+    } else {
+      EXPECT_EQ(real_env().read_file(path), want) << "runlen=" << runlen;
+    }
+  }
+
+  const std::string torn = dir_ + "/torn.json";
+  arm_faults(parse_fault_spec("mode=independent,p=1,seed=3,bitflip=0"));
+  EXPECT_THROW(table.write_json(torn, "fault_test"), std::runtime_error);
+  disarm_faults();
+  EXPECT_FALSE(fs::exists(torn));
 }
 
 // ------------------------------------------------- per-layer degradation

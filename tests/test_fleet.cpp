@@ -13,7 +13,10 @@
 #include "common/version.h"
 #include "core/grid_registry.h"
 #include "core/sweep.h"
+#include "data/synthetic_mnist.h"
+#include "data/synthetic_nmnist.h"
 #include "grids/grids.h"
+#include "obs/metrics.h"
 #include "store/fingerprint.h"
 #include "store/result_store.h"
 
@@ -352,6 +355,66 @@ TEST_F(FleetTest, ProvenanceIsStampedStoredAndReplayed) {
     EXPECT_EQ(t_cold.at(i).provenance.store_epoch,
               t_warm.at(i).provenance.store_epoch);
   }
+}
+
+// The concurrent baseline phase from a warm cache, so that it runs under
+// ThreadSanitizer without training: the cache holds untrained networks,
+// two datasets load side by side at --threads 4, and the run commits
+// exactly what the serial phase at --threads 1 commits.
+TEST_F(FleetTest, ConcurrentBaselinePhaseFromWarmCacheMatchesSerial) {
+  const std::string cache = dir_ + "/cache";
+  fs::create_directories(cache);
+  data::SyntheticMnistConfig mnist;
+  mnist.train_size = mnist.test_size = 10;
+  data::SyntheticNMnistConfig nmnist;
+  nmnist.train_size = nmnist.test_size = 10;
+  const std::vector<std::pair<DatasetKind, data::DatasetSplit>> shapes = {
+      {DatasetKind::kMnist, data::make_synthetic_mnist(mnist)},
+      {DatasetKind::kNMnist, data::make_synthetic_nmnist(nmnist)}};
+  std::vector<Scenario> scenarios;
+  for (const auto& [kind, split] : shapes) {
+    snn::Network net = build_network(kind, split.train, 7);
+    save_params(net, baseline_cache_file(cache, kind, /*fast=*/true, 7));
+    Scenario s;
+    s.key = dataset_name(kind);
+    s.dataset = kind;
+    scenarios.push_back(s);
+  }
+
+  const auto run_at = [&](int threads, std::vector<std::string>& calls) {
+    WorkloadOptions opts;
+    opts.fast = true;
+    opts.threads = threads;
+    opts.cache_dir = cache;
+    FleetRunner f(opts);
+    f.set_on_baseline([&calls](const Workload& w) {
+      calls.push_back(std::string(dataset_name(w.kind)) + " " +
+                      std::to_string(w.baseline_accuracy));
+    });
+    f.add_grid({store_opts("", "baselines"), scenarios,
+                [](const Scenario& s, const SweepContext& ctx) {
+                  ScenarioResult r;
+                  r.metrics = {
+                      {"accuracy", ctx.workload(s.dataset).baseline_accuracy}};
+                  return r;
+                }});
+    const std::string csv = f.run().front().to_csv();
+    EXPECT_EQ(f.context().kinds(),
+              (std::vector<DatasetKind>{DatasetKind::kMnist,
+                                        DatasetKind::kNMnist}));
+    EXPECT_GT(f.baseline_seconds(), 0.0);
+    return csv;
+  };
+  const obs::Counter& dispatch = obs::counter("pool.parallel_for.count");
+  std::vector<std::string> serial_calls, concurrent_calls;
+  const std::string serial = run_at(1, serial_calls);
+  const std::uint64_t before = dispatch.value();
+  const std::string concurrent = run_at(4, concurrent_calls);
+  EXPECT_EQ(dispatch.value(), before);  // every GEMM ran inline
+  EXPECT_EQ(concurrent, serial);
+  ASSERT_EQ(serial_calls.size(), 2u);
+  EXPECT_EQ(serial_calls[0].rfind("MNIST ", 0), 0u);
+  EXPECT_EQ(concurrent_calls, serial_calls);
 }
 
 TEST(FleetRunnerApi, RejectsEmptyFleetsAndBadGrids) {
