@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
   if (fb::list_scenarios(cli, store, scenarios)) return 0;
 
   // Outputs open before the sweep so an unwritable CWD fails fast.
-  common::CsvWriter csv(fb::csv_path(cli, def.name),
-                        {"ablation", "arm", "accuracy"});
+  io::CsvWriter csv(fb::csv_path(cli, def.name),
+                    {"ablation", "arm", "accuracy"});
   fb::probe_sweep_json(cli, def.name);
 
   core::FleetRunner runner(fb::workload_options(cli));
@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
   const core::ResultTable results = std::move(runner.run().front());
 
   if (!fb::sweep_complete(results)) {
+    csv.close();
     fb::emit_sweep_summary(cli, def.name, results);
     return 0;
   }
@@ -56,13 +57,13 @@ int main(int argc, char** argv) {
   // A1 per-layer result (see the arms table in ablation_grid.cpp).
   for (const char* arm : {"per_layer", "global", "frozen"}) {
     csv.row({"vth_granularity", arm,
-             common::CsvWriter::format(
+             io::CsvWriter::format(
                  acc_of((std::string("vth_granularity/") + arm).c_str()))});
   }
   csv.row({"rezero", "every_epoch",
-           common::CsvWriter::format(acc_of("vth_granularity/per_layer"))});
+           io::CsvWriter::format(acc_of("vth_granularity/per_layer"))});
   csv.row({"rezero", "end_only",
-           common::CsvWriter::format(acc_of("rezero/end_only"))});
+           io::CsvWriter::format(acc_of("rezero/end_only"))});
   for (const char* arm : {"triangle", "sigmoid", "rectangle"}) {
     csv.row(results.get(std::string("surrogate/") + arm).csv_rows.front());
   }
@@ -106,6 +107,7 @@ int main(int argc, char** argv) {
   std::printf("\nA4 — accumulator width (quantization + MSB sa1 collapse):\n");
   a4.print();
 
+  csv.close();
   fb::emit_sweep_summary(cli, def.name, results);
   std::printf("\nTakeaways: per-layer V_th >= global >= frozen; epoch-wise "
               "re-zeroing matters because the optimizer keeps regrowing "

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "common/cli.h"
-#include "common/csv.h"
 #include "common/env.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -28,6 +26,8 @@
 #include "core/fap.h"
 #include "core/sweep.h"
 #include "fault/fault_generator.h"
+#include "io/csv.h"
+#include "io/env.h"
 #include "io/fault_injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -314,7 +314,10 @@ class ExecScope {
     }
     if (metrics_path_.empty()) return;
     try {
-      obs::write_metrics_json(metrics_path_);
+      if (!io::publish_file(metrics_path_, obs::metrics_json())) {
+        throw std::runtime_error(metrics_path_ +
+                                 " did not read back intact; not written");
+      }
       std::fprintf(stderr, "[obs] metrics written to %s\n",
                    metrics_path_.c_str());
     } catch (const std::exception& e) {
@@ -610,11 +613,10 @@ inline void probe_sweep_json(const common::CliFlags& cli,
                              const std::string& bench_name) {
   const std::string path = sweep_json_path(cli, bench_name);
   if (path.empty()) return;
-  // Append mode: tests writability without clobbering the previous
-  // run's summary should this run die mid-sweep.
-  std::ofstream probe(path, std::ios::app);
-  if (!probe) {
-    throw std::runtime_error("cannot open sweep summary path " + path);
+  // Probes the directory: a run that dies mid-sweep leaves no file at
+  // the summary path (and a previous summary intact).
+  if (!io::can_publish(path)) {
+    throw std::runtime_error("cannot write sweep summary path " + path);
   }
 }
 
@@ -633,7 +635,7 @@ inline void emit_sweep_summary(const common::CliFlags& cli,
 
 /// Append the per-scenario CSV rows to an already-open writer, in
 /// scenario order (byte-identical at any sweep parallelism).
-inline void write_scenario_rows(common::CsvWriter& csv,
+inline void write_scenario_rows(io::CsvWriter& csv,
                                 const core::ResultTable& results) {
   for (const core::ScenarioResult& r : results.rows()) {
     for (const auto& row : r.csv_rows) csv.row(row);

@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
   if (fb::list_scenarios(cli, store, scenarios)) return 0;
 
   // Outputs open before the sweep so an unwritable CWD fails fast.
-  common::CsvWriter csv(fb::csv_path(cli, def.name),
-                        {"dataset", "fault_rate_percent", "vth", "accuracy"});
+  io::CsvWriter csv(fb::csv_path(cli, def.name),
+                    {"dataset", "fault_rate_percent", "vth", "accuracy"});
   fb::probe_sweep_json(cli, def.name);
 
   core::FleetRunner runner(fb::workload_options(cli));
@@ -73,6 +73,7 @@ int main(int argc, char** argv) {
     std::printf("\nRetrained accuracy [%%] per fixed threshold voltage:\n");
     table.print();
   }
+  csv.close();
   fb::emit_sweep_summary(cli, def.name, results);
   std::printf("\nExpected shape (paper): best V_th differs per dataset and "
               "fault rate; a bad fixed pick loses tens of points.\n");

@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
   if (fb::list_scenarios(cli, store, scenarios)) return 0;
 
   // Outputs open before the sweep so an unwritable CWD fails fast.
-  common::CsvWriter csv(fb::csv_path(cli, def.name),
-                        {"dataset", "type", "bit", "accuracy"});
+  io::CsvWriter csv(fb::csv_path(cli, def.name),
+                    {"dataset", "type", "bit", "accuracy"});
   fb::probe_sweep_json(cli, def.name);
 
   core::FleetRunner runner(fb::workload_options(cli));
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
           row.push_back(acc.mean());
           csv.row({std::string(core::dataset_name(kind)),
                    fb::fig5a::type_name(type), std::to_string(bit),
-                   common::CsvWriter::format(acc.mean())});
+                   io::CsvWriter::format(acc.mean())});
         }
         table.row_labeled(std::string(fb::fig5a::type_name(type)) + "-" +
                               core::dataset_name(kind),
@@ -81,6 +81,7 @@ int main(int argc, char** argv) {
                 n_faulty, array.to_string().c_str());
     table.print();
   }
+  csv.close();
   fb::emit_sweep_summary(cli, def.name, results);
   std::printf("\nExpected shape (paper): accuracy near baseline at LSBs, "
               "collapse at MSBs; sa1 worse than sa0.\n");

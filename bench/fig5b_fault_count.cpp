@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   if (fb::list_scenarios(cli, store, scenarios)) return 0;
 
   // Outputs open before the sweep so an unwritable CWD fails fast.
-  common::CsvWriter csv(
+  io::CsvWriter csv(
       fb::csv_path(cli, def.name),
       {"dataset", "faulty_pes", "fault_rate_percent", "accuracy", "stddev"});
   fb::probe_sweep_json(cli, def.name);
@@ -69,10 +69,10 @@ int main(int argc, char** argv) {
         row.push_back(acc.mean());
         csv.row({std::string(core::dataset_name(kind)),
                  std::to_string(count),
-                 common::CsvWriter::format(100.0 * count /
-                                           array.total_pes()),
-                 common::CsvWriter::format(acc.mean()),
-                 common::CsvWriter::format(acc.stddev())});
+                 io::CsvWriter::format(100.0 * count /
+                                       array.total_pes()),
+                 io::CsvWriter::format(acc.mean()),
+                 io::CsvWriter::format(acc.stddev())});
       }
       table.row_labeled(core::dataset_name(kind), row, 1);
     }
@@ -81,6 +81,7 @@ int main(int argc, char** argv) {
                 repeats);
     table.print();
   }
+  csv.close();
   fb::emit_sweep_summary(cli, def.name, results);
   std::printf("\nExpected shape (paper): steep collapse by ~8 faulty PEs "
               "(0.012%% of the array); DVS-Gesture lowest throughout.\n");

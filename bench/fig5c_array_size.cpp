@@ -39,9 +39,9 @@ int main(int argc, char** argv) {
   if (fb::list_scenarios(cli, store, scenarios)) return 0;
 
   // Outputs open before the sweep so an unwritable CWD fails fast.
-  common::CsvWriter csv(fb::csv_path(cli, def.name),
-                        {"dataset", "array", "total_pes", "accuracy",
-                         "stddev"});
+  io::CsvWriter csv(fb::csv_path(cli, def.name),
+                    {"dataset", "array", "total_pes", "accuracy",
+                     "stddev"});
   fb::probe_sweep_json(cli, def.name);
 
   core::FleetRunner runner(fb::workload_options(cli));
@@ -69,8 +69,8 @@ int main(int argc, char** argv) {
         csv.row({std::string(core::dataset_name(kind)),
                  std::to_string(n) + "x" + std::to_string(n),
                  std::to_string(n * n),
-                 common::CsvWriter::format(acc.mean()),
-                 common::CsvWriter::format(acc.stddev())});
+                 io::CsvWriter::format(acc.mean()),
+                 io::CsvWriter::format(acc.stddev())});
       }
       table.row_labeled(core::dataset_name(kind), row, 1);
     }
@@ -79,6 +79,7 @@ int main(int argc, char** argv) {
                 n_faulty, repeats);
     table.print();
   }
+  csv.close();
   fb::emit_sweep_summary(cli, def.name, results);
   std::printf("\nExpected shape (paper): small arrays suffer far more from "
               "the same absolute fault count (array reuse).\n");

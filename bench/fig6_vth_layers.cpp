@@ -36,9 +36,9 @@ int main(int argc, char** argv) {
   if (fb::list_scenarios(cli, store, scenarios)) return 0;
 
   // Outputs open before the sweep so an unwritable CWD fails fast.
-  common::CsvWriter csv(fb::csv_path(cli, def.name),
-                        {"dataset", "fault_rate_percent", "layer", "vth",
-                         "final_accuracy"});
+  io::CsvWriter csv(fb::csv_path(cli, def.name),
+                    {"dataset", "fault_rate_percent", "layer", "vth",
+                     "final_accuracy"});
   fb::probe_sweep_json(cli, def.name);
 
   core::FleetRunner runner(fb::workload_options(cli));
@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
       std::printf("\n");
     }
   }
+  csv.close();
   fb::emit_sweep_summary(cli, def.name, results);
   std::printf("Expected shape (paper): early conv / first FC layers keep "
               "higher thresholds than later layers so redundant spikes do "

@@ -38,9 +38,9 @@ int main(int argc, char** argv) {
   if (fb::list_scenarios(cli, store, scenarios)) return 0;
 
   // Outputs open before the sweep so an unwritable CWD fails fast.
-  common::CsvWriter csv(fb::csv_path(cli, def.name),
-                        {"dataset", "fault_rate_percent", "method",
-                         "best_accuracy", "baseline"});
+  io::CsvWriter csv(fb::csv_path(cli, def.name),
+                    {"dataset", "fault_rate_percent", "method",
+                     "best_accuracy", "baseline"});
   fb::probe_sweep_json(cli, def.name);
 
   core::FleetRunner runner(fb::workload_options(cli));
@@ -87,6 +87,7 @@ int main(int argc, char** argv) {
       std::printf("\n");
     }
   }
+  csv.close();
   fb::emit_sweep_summary(cli, def.name, results);
   std::printf("Reported values are best checkpoints over the retraining run.\nExpected shape (paper): FaP degrades rapidly with rate; "
               "FaPIT recovers partially; FalVolt reaches (near-)baseline "

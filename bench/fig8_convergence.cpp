@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
   if (fb::list_scenarios(cli, store, scenarios)) return 0;
 
   // Outputs open before the sweep so an unwritable CWD fails fast.
-  common::CsvWriter csv(fb::csv_path(cli, def.name),
-                        {"dataset", "method", "epoch", "accuracy"});
+  io::CsvWriter csv(fb::csv_path(cli, def.name),
+                    {"dataset", "method", "epoch", "accuracy"});
   fb::probe_sweep_json(cli, def.name);
 
   core::FleetRunner runner(fb::workload_options(cli));
@@ -99,6 +99,7 @@ int main(int argc, char** argv) {
                 cli.get_double("target-drop"));
     summary.print();
   }
+  csv.close();
   fb::emit_sweep_summary(cli, def.name, results);
   std::printf("\nExpected shape (paper): FalVolt converges in about half "
               "the epochs of FaPIT.\n");

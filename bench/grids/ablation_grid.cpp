@@ -156,7 +156,7 @@ void register_grid() {
         out.metrics = {{"clean_accuracy", acc_clean},
                        {"faulty_accuracy", acc_faulty}};
         out.csv_rows = {{"accumulator_width", fmt.to_string(),
-                         common::CsvWriter::format(acc_faulty)}};
+                         io::CsvWriter::format(acc_faulty)}};
         return out;
       }
 
@@ -177,7 +177,7 @@ void register_grid() {
             retrain_custom(net, wl.data, map, s.epochs, true, false, true);
         out.metrics = {{"accuracy", acc}};
         out.csv_rows = {{"surrogate", sg.to_string(),
-                         common::CsvWriter::format(acc)}};
+                         io::CsvWriter::format(acc)}};
         return out;
       }
 
@@ -190,7 +190,7 @@ void register_grid() {
       out.metrics = {{"accuracy", acc}};
       const char* ablation =
           s.key.rfind("rezero/", 0) == 0 ? "rezero" : "vth_granularity";
-      out.csv_rows = {{ablation, s.tag, common::CsvWriter::format(acc)}};
+      out.csv_rows = {{ablation, s.tag, io::CsvWriter::format(acc)}};
       return out;
     };
   };

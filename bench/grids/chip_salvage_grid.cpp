@@ -111,7 +111,7 @@ void register_grid() {
                        {"salvaged", 1.0},
                        {"grade_a", 1.0}};
         out.csv_rows = {{std::to_string(s.repeat), "A", "0",
-                         common::CsvWriter::format(wl.baseline_accuracy)}};
+                         io::CsvWriter::format(wl.baseline_accuracy)}};
         return out;
       }
 
@@ -136,7 +136,7 @@ void register_grid() {
           {"grade_a", 0.0}};
       out.csv_rows = {{std::to_string(s.repeat), salvaged ? "B" : "scrap",
                        std::to_string(tested.recovered.num_faulty_pes()),
-                       common::CsvWriter::format(r.final_accuracy)}};
+                       io::CsvWriter::format(r.final_accuracy)}};
       return out;
     };
   };

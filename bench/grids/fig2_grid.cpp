@@ -84,9 +84,9 @@ void register_grid() {
       core::ScenarioResult out;
       out.metrics = {{"accuracy", r.final_accuracy}};
       out.csv_rows = {{std::string(core::dataset_name(s.dataset)),
-                       common::CsvWriter::format(s.fault_rate * 100),
-                       common::CsvWriter::format(s.vth),
-                       common::CsvWriter::format(r.final_accuracy)}};
+                       io::CsvWriter::format(s.fault_rate * 100),
+                       io::CsvWriter::format(s.vth),
+                       io::CsvWriter::format(r.final_accuracy)}};
       logf(out.log, "  %-15s rate=%2.0f%% vth=%.2f -> %.1f%%\n",
            core::dataset_name(s.dataset), s.fault_rate * 100, s.vth,
            r.final_accuracy);

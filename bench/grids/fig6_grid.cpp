@@ -79,9 +79,9 @@ void register_grid() {
         out.metrics.emplace_back("vth:" + v.layer, v.vth);
         out.csv_rows.push_back(
             {std::string(core::dataset_name(s.dataset)),
-             common::CsvWriter::format(s.fault_rate * 100), v.layer,
-             common::CsvWriter::format(v.vth),
-             common::CsvWriter::format(r.final_accuracy)});
+             io::CsvWriter::format(s.fault_rate * 100), v.layer,
+             io::CsvWriter::format(v.vth),
+             io::CsvWriter::format(r.final_accuracy)});
       }
       logf(out.log, "  %-15s rate=%2.0f%% -> accuracy %.1f%%\n",
            core::dataset_name(s.dataset), s.fault_rate * 100,

@@ -97,9 +97,9 @@ void register_grid() {
       out.metrics = {{"best_accuracy", acc},
                      {"baseline", wl.baseline_accuracy}};
       out.csv_rows = {{std::string(core::dataset_name(s.dataset)),
-                       common::CsvWriter::format(s.fault_rate * 100), s.tag,
-                       common::CsvWriter::format(acc),
-                       common::CsvWriter::format(wl.baseline_accuracy)}};
+                       io::CsvWriter::format(s.fault_rate * 100), s.tag,
+                       io::CsvWriter::format(acc),
+                       io::CsvWriter::format(wl.baseline_accuracy)}};
       return out;
     };
   };

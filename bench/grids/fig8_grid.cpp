@@ -108,7 +108,7 @@ void register_grid() {
         out.metrics.emplace_back(epoch_metric(e + 1), acc);
         out.csv_rows.push_back(
             {std::string(core::dataset_name(s.dataset)), s.tag,
-             std::to_string(e + 1), common::CsvWriter::format(acc)});
+             std::to_string(e + 1), io::CsvWriter::format(acc)});
       }
       return out;
     };

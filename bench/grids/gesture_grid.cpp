@@ -95,8 +95,8 @@ void register_grid() {
             systolic::SystolicGemmEngine::FaultHandling::kCorrupt);
       }
       out.metrics = {{"accuracy", acc}};
-      out.csv_rows = {{common::CsvWriter::format(s.fault_rate * 100),
-                       s.tag, common::CsvWriter::format(acc)}};
+      out.csv_rows = {{io::CsvWriter::format(s.fault_rate * 100),
+                       s.tag, io::CsvWriter::format(acc)}};
       logf(out.log, "  rate=%2.0f%% %-12s -> %.1f%%\n",
            s.fault_rate * 100, s.tag.c_str(), acc);
       return out;

@@ -32,7 +32,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
@@ -353,13 +352,13 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
-  // Probe the summary path BEFORE the sweep: an unwritable --json must
-  // fail now, not after hours of retraining (same fail-fast contract as
-  // the bench mains' CSV writers). Append mode leaves any previous
-  // summary intact should this run die mid-sweep.
+  // Probe the summary's directory BEFORE the sweep: an unwritable --json
+  // must fail now, not after hours of retraining (same fail-fast contract
+  // as the bench mains' CSV writers). Nothing is created at the path, so
+  // a run that dies mid-sweep leaves any previous summary intact and no
+  // new file.
   if (!cli.get_string("json").empty()) {
-    std::ofstream probe(cli.get_string("json"), std::ios::app);
-    if (!probe) {
+    if (!io::can_publish(cli.get_string("json"))) {
       std::fprintf(stderr, "sweep_fleet: cannot open %s\n",
                    cli.get_string("json").c_str());
       return 1;

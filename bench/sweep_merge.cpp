@@ -38,7 +38,6 @@
 // store (all cells hit) — compacted or not.
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -53,6 +52,24 @@
 #include "store/stats.h"
 
 using namespace falvolt;
+
+namespace {
+
+// Publishes one output file through io::publish_file; false (after a
+// message) when it could not be written.
+bool publish(const std::string& path, const std::string& bytes) {
+  try {
+    if (io::publish_file(path, bytes)) return true;
+    std::fprintf(stderr, "sweep_merge: %s did not read back intact\n",
+                 path.c_str());
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "sweep_merge: cannot write %s: %s\n", path.c_str(),
+                 e.what());
+  }
+  return false;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   common::CliFlags cli("sweep_merge");
@@ -250,15 +267,11 @@ int main(int argc, char** argv) {
       }
     }
     if (!cli.get_string("stats-json").empty()) {
-      std::ofstream out(cli.get_string("stats-json"));
-      if (!out) {
-        std::fprintf(stderr, "sweep_merge: cannot open %s\n",
-                     cli.get_string("stats-json").c_str());
-        return 1;
-      }
-      out << "{\n  \"store\": \"" << common::json_escape(dst_local.root())
-          << "\",\n  \"store_stats\": " << stats.to_json(/*indent=*/2)
-          << "\n}\n";
+      const std::string doc = "{\n  \"store\": \"" +
+                              common::json_escape(dst_local.root()) +
+                              "\",\n  \"store_stats\": " +
+                              stats.to_json(/*indent=*/2) + "\n}\n";
+      if (!publish(cli.get_string("stats-json"), doc)) return 1;
       std::printf("[store] usage stats written to %s\n",
                   cli.get_string("stats-json").c_str());
     }
@@ -343,13 +356,7 @@ int main(int argc, char** argv) {
   }
 
   if (!csv_path.empty()) {
-    std::ofstream out(csv_path);
-    if (!out) {
-      std::fprintf(stderr, "sweep_merge: cannot open %s\n",
-                   csv_path.c_str());
-      return 1;
-    }
-    out << table.to_csv();
+    if (!publish(csv_path, table.to_csv())) return 1;
     std::printf("[merge] %s: %zu-cell table written to %s\n",
                 manifest->bench.c_str(), table.size(), csv_path.c_str());
   }

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "compute/simd.h"
 #include "compute/thread_pool.h"
 
 namespace falvolt::compute {
@@ -75,24 +76,10 @@ void gemm_a_bt_rows(const float* a, const float* b, float* c, int i0, int i1,
 #if defined(__GNUC__) || defined(__clang__)
 #define FALVOLT_VECTOR_KERNEL 1
 #if defined(__GNUC__) && !defined(__clang__)
-// Without AVX the 32-byte vector is legalized to two 16-byte halves; the
-// ABI note about passing such vectors is irrelevant here (all helpers
-// inline within this TU).
-#pragma GCC diagnostic ignored "-Wpsabi"
+#pragma GCC diagnostic ignored "-Wpsabi"  // see compute/simd.h
 #endif
-// Eight-lane float vector (GCC/Clang extension; legalized to whatever the
-// target ISA provides). One vector spans a full kNr micro-tile row.
-typedef float Vf8 __attribute__((vector_size(32)));
+// One vector spans a full kNr micro-tile row.
 static_assert(kNr == 8, "micro-kernel assumes one 8-lane vector per row");
-
-inline Vf8 load8(const float* p) {
-  Vf8 v;
-  __builtin_memcpy(&v, p, sizeof(Vf8));
-  return v;
-}
-inline void store8(float* p, const Vf8& v) {
-  __builtin_memcpy(p, &v, sizeof(Vf8));
-}
 
 // Lane form of gemm_a_bt_blocked's dot product: output columns
 // j .. j+7 of one row at once, bt = B^T packed [k x n]. Lane l runs the
@@ -247,17 +234,31 @@ void transpose(const float* src, float* dst, int rows, int cols) {
   }
 }
 
-// Fraction of nonzero entries in (a sample of) A — decides whether the
-// zero-skip naive kernel beats the dense blocked one on spike inputs.
-double sampled_density(const float* a, int m, int k) {
-  const int rows = std::min(m, 32);
-  if (rows == 0 || k == 0) return 1.0;
+// Whether a sample of `rows` rows of `cols` entries holding `nonzeros`
+// nonzero entries is dense enough that the zero-skip naive kernels stop
+// paying off on spike inputs.
+bool dense_sample(std::size_t nonzeros, int rows, int cols) {
+  if (rows == 0 || cols == 0) return true;
+  const double density = static_cast<double>(nonzeros) /
+                         (static_cast<double>(rows) * cols);
+  return density >= 0.2;
+}
+
+// dense_sample over the first kDensitySampleRows rows of A [m x k].
+bool sampled_dense(const float* a, int m, int k) {
+  const int rows = std::min(m, kDensitySampleRows);
   std::size_t nz = 0;
   for (int i = 0; i < rows; ++i) {
     const float* arow = a + static_cast<std::size_t>(i) * k;
     for (int kk = 0; kk < k; ++kk) nz += arow[kk] != 0.0f;
   }
-  return static_cast<double>(nz) / (static_cast<double>(rows) * k);
+  return dense_sample(nz, rows, k);
+}
+
+// Shape half of gemm_at_b_auto's choice (A stored [k x m]).
+bool at_b_blocked_shape(int k, int m, int n) {
+  const long long flops = static_cast<long long>(m) * k * n;
+  return n >= kNr && m >= 2 * kMr && k >= kNr && flops >= 1LL << 20;
 }
 
 inline bool parallel_worthwhile(int m, long long flops) {
@@ -395,7 +396,7 @@ void gemm_auto(const float* a, const float* b, float* c, int m, int k,
   // zero-skip kernel keep sparse spike inputs.
   const bool use_blocked =
       n >= kNr && k >= kNr && m >= kMr && flops >= 1LL << 14 &&
-      ((!accumulate && k <= kKc) || sampled_density(a, m, k) >= 0.2);
+      ((!accumulate && k <= kKc) || sampled_dense(a, m, k));
   if (use_blocked) {
     gemm_blocked(a, b, c, m, k, n, accumulate, parallel ? global_threads() : 1);
     return;
@@ -412,14 +413,11 @@ void gemm_auto(const float* a, const float* b, float* c, int m, int k,
 
 void gemm_at_b_auto(const float* a, const float* b, float* c, int k, int m,
                     int n, bool accumulate) {
-  const long long flops = static_cast<long long>(m) * k * n;
   // The naive k-outer kernel zero-skips sparse activations and cannot be
   // row-partitioned; switch to transpose+blocked only when the extra
   // arithmetic is clearly bought back by tiling and threads.
-  const bool use_blocked = n >= kNr && m >= 2 * kMr && k >= kNr &&
-                           flops >= 1LL << 20 &&
-                           sampled_density(a, k, m) >= 0.2;
-  if (use_blocked) {
+  if (at_b_blocked_shape(k, m, n) && sampled_dense(a, k, m)) {
+    const long long flops = static_cast<long long>(m) * k * n;
     const bool parallel =
         parallel_worthwhile(m, flops) && global_threads() > 1;
     gemm_at_b_blocked(a, b, c, k, m, n, accumulate,
@@ -429,10 +427,16 @@ void gemm_at_b_auto(const float* a, const float* b, float* c, int k, int m,
   gemm_at_b_naive(a, b, c, k, m, n, accumulate);
 }
 
+bool gemm_at_b_picks_blocked(int k, int m, int n,
+                             std::size_t sample_nonzeros) {
+  return at_b_blocked_shape(k, m, n) &&
+         dense_sample(sample_nonzeros, std::min(k, kDensitySampleRows), m);
+}
+
 void gemm_a_bt_auto(const float* a, const float* b, float* c, int m, int k,
                     int n, bool accumulate) {
-  const long long flops = static_cast<long long>(m) * k * n;
-  if (k >= 8 && flops >= 1LL << 14) {
+  if (gemm_a_bt_picks_blocked(m, k, n)) {
+    const long long flops = static_cast<long long>(m) * k * n;
     const bool parallel =
         parallel_worthwhile(m, flops) && global_threads() > 1;
     gemm_a_bt_blocked(a, b, c, m, k, n, accumulate,
@@ -440,6 +444,10 @@ void gemm_a_bt_auto(const float* a, const float* b, float* c, int m, int k,
     return;
   }
   gemm_a_bt_naive(a, b, c, m, k, n, accumulate);
+}
+
+bool gemm_a_bt_picks_blocked(int m, int k, int n) {
+  return k >= 8 && static_cast<long long>(m) * k * n >= 1LL << 14;
 }
 
 }  // namespace falvolt::compute

@@ -92,4 +92,19 @@ void gemm_at_b_auto(const float* a, const float* b, float* c, int k, int m,
 void gemm_a_bt_auto(const float* a, const float* b, float* c, int m, int k,
                     int n, bool accumulate = false);
 
+/// Rows of A (the first ones) whose density decides between zero-skip and
+/// blocked kernels.
+inline constexpr int kDensitySampleRows = 32;
+
+/// gemm_at_b_auto's kernel choice, for callers that never materialize A
+/// (the direct conv weight gradient): true selects transpose + blocked,
+/// false the zero-skip k-outer naive kernel. `sample_nonzeros` counts the
+/// nonzero entries of A's first min(k, kDensitySampleRows) rows.
+bool gemm_at_b_picks_blocked(int k, int m, int n,
+                             std::size_t sample_nonzeros);
+
+/// gemm_a_bt_auto's kernel choice: true selects gemm_a_bt_blocked (the
+/// four-partial-sum dot), false gemm_a_bt_naive (one running sum).
+bool gemm_a_bt_picks_blocked(int m, int k, int n);
+
 }  // namespace falvolt::compute

@@ -1,5 +1,5 @@
 #pragma once
-// Minimal SIMD helpers for the integer hot paths.
+// Minimal SIMD helpers for the integer and float hot paths.
 //
 // The faulty-GEMM engine's proven-saturation-free fast path accumulates
 // plain int32 weights across groups of adjacent output columns; with AVX2
@@ -16,6 +16,32 @@
 #endif
 
 namespace falvolt::compute {
+
+// Eight-lane float vector (GCC/Clang extension; legalized to whatever the
+// target ISA provides) shared by the float GEMM and direct conv kernels.
+// A `scalar * vector` expression broadcasts the scalar, and `acc += a * b`
+// contracts to a fused multiply-add exactly where the compiler contracts
+// the scalar `c += a * b` of the reference kernels.
+#if defined(__GNUC__) && !defined(__clang__)
+// Without AVX the 32-byte vector is legalized to two 16-byte halves; the
+// ABI note about passing such vectors is irrelevant for these inlined
+// helpers.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
+#endif
+typedef float Vf8 __attribute__((vector_size(32)));
+
+inline Vf8 load8(const float* p) {
+  Vf8 v;
+  __builtin_memcpy(&v, p, sizeof(Vf8));
+  return v;
+}
+inline void store8(float* p, const Vf8& v) {
+  __builtin_memcpy(p, &v, sizeof(Vf8));
+}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 /// Column-group width of the integer fast path (one AVX2 register of
 /// int32 lanes). The scalar fallback uses the same width so the two

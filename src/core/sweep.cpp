@@ -13,12 +13,12 @@
 #include <thread>
 
 #include "common/bytes.h"
-#include "common/csv.h"
 #include "common/env.h"
 #include "common/json.h"
 #include "common/timer.h"
 #include "common/version.h"
 #include "compute/thread_pool.h"
+#include "io/csv.h"
 #include "io/env.h"
 #include "io/fault_injector.h"
 #include "obs/metrics.h"
@@ -350,22 +350,22 @@ std::string ResultTable::to_csv() const {
   std::string out = "key,tag,dataset";
   for (const std::string& name : columns) {
     out += ',';
-    out += common::csv_escape(name);
+    out += io::csv_escape(name);
   }
   out += '\n';
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     if (state_[i] == kAbsent) continue;
     const ScenarioResult& r = rows_[i];
-    out += common::csv_escape(r.scenario.key);
+    out += io::csv_escape(r.scenario.key);
     out += ',';
-    out += common::csv_escape(r.scenario.tag);
+    out += io::csv_escape(r.scenario.tag);
     out += ',';
-    out += common::csv_escape(dataset_name(r.scenario.dataset));
+    out += io::csv_escape(dataset_name(r.scenario.dataset));
     for (const std::string& name : columns) {
       out += ',';
       for (const auto& [metric, value] : r.metrics) {
         if (metric == name) {
-          out += common::CsvWriter::format(value);
+          out += io::CsvWriter::format(value);
           break;
         }
       }

@@ -8,12 +8,12 @@
 
 // Utilities.
 #include "common/cli.h"       // IWYU pragma: export
-#include "common/csv.h"       // IWYU pragma: export
 #include "common/env.h"       // IWYU pragma: export
 #include "common/rng.h"       // IWYU pragma: export
 #include "common/stats.h"     // IWYU pragma: export
 #include "common/table.h"     // IWYU pragma: export
 #include "common/timer.h"     // IWYU pragma: export
+#include "io/csv.h"           // IWYU pragma: export
 
 // Parallel compute backend (thread pool, GEMM kernels).
 #include "compute/gemm_kernels.h"  // IWYU pragma: export

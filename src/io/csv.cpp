@@ -1,10 +1,13 @@
-#include "common/csv.h"
+#include "io/csv.h"
 
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
-namespace falvolt::common {
+#include "io/env.h"
+
+namespace falvolt::io {
 
 std::string csv_escape(const std::string& field) {
   const bool needs_quoting =
@@ -23,24 +26,34 @@ std::string csv_escape(const std::string& field) {
 
 CsvWriter::CsvWriter(const std::string& path,
                      const std::vector<std::string>& header)
-    : path_(path), out_(path), columns_(header.size()) {
-  if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << csv_escape(header[i]);
+    : path_(path), columns_(header.size()) {
+  if (!can_publish(path)) {
+    throw std::runtime_error("CsvWriter: cannot write " + path);
   }
-  out_ << '\n';
+  append(header);
+}
+
+CsvWriter::~CsvWriter() {
+  try {
+    close();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+  }
+}
+
+void CsvWriter::append(const std::vector<std::string>& cells) {
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (i) text_ += ',';
+    text_ += csv_escape(cells[i]);
+  }
+  text_ += '\n';
 }
 
 void CsvWriter::row(const std::vector<std::string>& cells) {
   if (cells.size() != columns_) {
     throw std::invalid_argument("CsvWriter::row: column count mismatch");
   }
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << csv_escape(cells[i]);
-  }
-  out_ << '\n';
+  append(cells);
 }
 
 void CsvWriter::row(const std::vector<double>& cells) {
@@ -51,9 +64,11 @@ void CsvWriter::row(const std::vector<double>& cells) {
 }
 
 void CsvWriter::close() {
-  if (out_.is_open()) {
-    out_.flush();
-    out_.close();
+  if (closed_) return;
+  closed_ = true;
+  if (!publish_file(path_, text_)) {
+    throw std::runtime_error("CsvWriter: " + path_ +
+                             " did not read back intact; not written");
   }
 }
 
@@ -69,4 +84,4 @@ std::string CsvWriter::format(double v) {
   return os.str();
 }
 
-}  // namespace falvolt::common
+}  // namespace falvolt::io

@@ -99,6 +99,15 @@ void set_env(Env* e) { g_env.store(e, std::memory_order_release); }
 
 namespace {
 
+// "<dir>/<prefix>.<pid>.<seq><suffix>": pid plus a process-wide counter.
+std::string staging_name(const std::string& dir, const std::string& prefix,
+                         const char* suffix) {
+  static std::atomic<std::uint64_t> seq{0};
+  return (fs::path(dir) / (prefix + "." + std::to_string(::getpid()) + "." +
+                           std::to_string(seq.fetch_add(1)) + suffix))
+      .string();
+}
+
 // Returns false only when `verify` is set and the staged bytes do not
 // read back intact (nothing is published).
 bool publish(const std::string& staging_dir, const std::string& prefix,
@@ -113,12 +122,7 @@ bool publish(const std::string& staging_dir, const std::string& prefix,
   // writers (threads of one sweep, or several shard processes sharing a
   // store) each stage privately and race only on the final rename,
   // which is atomic.
-  static std::atomic<std::uint64_t> seq{0};
-  const std::string tmp =
-      (fs::path(staging_dir) /
-       (prefix + "." + std::to_string(::getpid()) + "." +
-        std::to_string(seq.fetch_add(1)) + ".tmp"))
-          .string();
+  const std::string tmp = staging_name(staging_dir, prefix, ".tmp");
 
   // A plug pulled before anything is staged loses nothing.
   FALVOLT_PTP();
@@ -163,6 +167,18 @@ bool publish(const std::string& staging_dir, const std::string& prefix,
 }
 
 }  // namespace
+
+bool can_publish(const std::string& path) {
+  const fs::path file(path);
+  const std::string dir = file.parent_path().string();
+  const std::string probe =
+      staging_name(dir.empty() ? "." : dir, file.filename().string(),
+                   ".probe");
+  Env& e = real_env();
+  const bool ok = e.write_file(probe, "");
+  e.unlink_file(probe);
+  return ok;
+}
 
 void atomic_publish(const std::string& staging_dir, const std::string& prefix,
                     const std::string& final_path, const std::string& bytes) {

@@ -105,4 +105,11 @@ void atomic_publish(const std::string& staging_dir, const std::string& prefix,
 /// atomic_publish when a step fails outright.
 bool publish_file(const std::string& path, const std::string& bytes);
 
+/// Whether the directory of `path` accepts new files right now, for a
+/// fail-fast check before a long run whose output publish_file writes at
+/// the end: stages an empty probe file beside `path` on the real
+/// filesystem and removes it. Nothing is created at `path` itself, so a
+/// run that dies before publishing leaves no file there.
+bool can_publish(const std::string& path);
+
 }  // namespace falvolt::io

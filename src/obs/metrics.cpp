@@ -1,10 +1,8 @@
 #include "obs/metrics.h"
 
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 
 #include "common/json.h"
 
@@ -136,13 +134,9 @@ std::string encode_metrics_json(const std::vector<MetricSample>& samples,
   return out;
 }
 
-void write_metrics_json(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("obs: cannot open metrics JSON path " + path);
-  }
-  out << "{\n  \"metrics\": "
-      << encode_metrics_json(snapshot_metrics(), /*indent=*/2) << "\n}\n";
+std::string metrics_json() {
+  return "{\n  \"metrics\": " +
+         encode_metrics_json(snapshot_metrics(), /*indent=*/2) + "\n}\n";
 }
 
 }  // namespace falvolt::obs

@@ -133,9 +133,8 @@ void reset_metrics();
 std::string encode_metrics_json(const std::vector<MetricSample>& samples,
                                 int indent = 0);
 
-/// Dump snapshot_metrics() to `path` as {"metrics": {...}} (throws on
-/// I/O failure — an unwritable dump path is a usage error, not data
-/// loss).
-void write_metrics_json(const std::string& path);
+/// snapshot_metrics() as the --metrics-json document {"metrics": {...}};
+/// drivers publish it through io::publish_file.
+std::string metrics_json();
 
 }  // namespace falvolt::obs

@@ -1,9 +1,37 @@
 #pragma once
-// 2D convolution layer, lowered to GEMM via im2col.
+// 2D convolution layer (stride 1).
 //
 // The GEMM weight matrix is [K x M] with K = Cin*kh*kw and M = Cout; this
 // is exactly the matrix that gets laid onto the systolic array, so the
 // fault/prune machinery addresses conv weights through `MatmulLayer`.
+//
+// Two executions share those weights:
+//
+//   * With a GemmEngine plugged in (systolic faulty eval), forward lowers
+//     to im2col + one engine GEMM [N*OH*OW, K] x [K, Cout].
+//   * Without one (training and clean float eval), three direct kernels
+//     run over zero-padded input planes and never build the im2col
+//     matrix. Each reproduces the bits of the lowering through
+//     tensor::gemm* (the rules in compute/gemm_kernels.h):
+//       - forward: per output element the tap-ascending multiply-add
+//         chain from +0 (gemm_blocked with one K panel), then + bias;
+//       - weight gradient: gemm_at_b_naive's order, a chain per weight
+//         over the rows (sample, oy, ox) ascending that skips zero
+//         inputs, walked from per-(sample, channel) nonzero lists. When
+//         gemm_at_b_auto would pick its blocked kernel (sampled input
+//         density >= 0.2), the im2col matrix is built for that one call
+//         and handed to tensor::gemm_at_b unchanged;
+//       - input gradient: the G * W^T dots summed per input element in
+//         col2im's order (ky, then kx, descending); each dot is
+//         gemm_a_bt_blocked's four-partial-sum dot, or, where
+//         gemm_a_bt_auto picks the naive kernel (Cout < 8 or a small
+//         problem), comes from gemm_a_bt_naive itself.
+//     The match is exact for K <= 256 and Cout < 32, which covers every
+//     zoo network; outside that range the lowering splits K into panels
+//     or lets the compiler vectorize its dot, and the two agree only to
+//     float tolerance. The kernels split samples or input channels
+//     across the global pool; every slice writes its own outputs, so the
+//     bits do not depend on the thread count.
 
 #include <vector>
 
@@ -23,7 +51,7 @@ class Conv2d final : public Layer, public MatmulLayer {
 
   tensor::Tensor forward(const tensor::Tensor& x, int t, Mode mode) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out, int t) override;
-  /// Weight/bias grads only: skips the dCols GEMM and col2im.
+  /// Weight/bias grads only: skips the input gradient.
   void accumulate_param_grads(const tensor::Tensor& grad_out, int t) override;
   void reset_state() override;
   std::vector<Param*> params() override;
@@ -41,9 +69,9 @@ class Conv2d final : public Layer, public MatmulLayer {
 
  private:
   void bind_geometry(const tensor::Tensor& x);
-  /// Accumulate weight/bias grads for step t; returns grad_out repacked
-  /// pixel-major as G [N*OH*OW, Cout].
-  tensor::Tensor param_grads(const tensor::Tensor& grad_out, int t);
+  /// Accumulate weight/bias grads for step t, leaving grad_out repacked
+  /// pixel-major as G [N*OH*OW, Cout] in g_.
+  void param_grads(const tensor::Tensor& grad_out, int t);
 
   int in_channels_;
   int out_channels_;
@@ -54,10 +82,17 @@ class Conv2d final : public Layer, public MatmulLayer {
   Param bias_;    // [Cout]
   tensor::ConvGeometry geometry_;
   bool geometry_bound_ = false;
-  GemmEngine* engine_ = nullptr;  // non-owning; nullptr -> float engine
-  // Per-time-step caches of the im2col matrices: [N * out_pixels, K].
-  std::vector<tensor::Tensor> cols_hist_;
+  GemmEngine* engine_ = nullptr;  // non-owning; nullptr -> direct kernels
+  // Per-time-step inputs, zero-padded: one plane per (sample, channel).
+  // The first steps_ are this sequence's; reset_state keeps the buffers
+  // (and their zero borders) for the next minibatch, and an eval-mode
+  // forward releases them with the backward scratch below.
+  std::vector<std::vector<float>> x_hist_;
+  int steps_ = 0;
   int batch_ = 0;
+  // Backward scratch, reused across calls: G and the padded grad_out.
+  std::vector<float> g_;
+  std::vector<float> gpad_;
 };
 
 }  // namespace falvolt::snn

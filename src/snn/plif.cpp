@@ -85,7 +85,7 @@ tensor::Tensor Plif::forward(const tensor::Tensor& x, int t, Mode mode) {
           }
           return vp;
         }());
-    h_hist_.push_back(h);
+    h_hist_.push_back(std::move(h));
     s_hist_.push_back(s);
   }
   return s;

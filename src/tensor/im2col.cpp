@@ -56,19 +56,4 @@ void im2col(const float* input, const ConvGeometry& g, float* out) {
   }
 }
 
-void col2im(const float* cols, const ConvGeometry& g, float* grad_input) {
-  const int oh = g.out_h();
-  const int ow = g.out_w();
-  const int patch = g.patch_size();
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      const float* row =
-          cols + (static_cast<std::size_t>(oy) * ow + ox) * patch;
-      for_each_tap(g, oy, ox, [&](int col, std::size_t in) {
-        grad_input[in] += row[col];
-      });
-    }
-  }
-}
-
 }  // namespace falvolt::tensor

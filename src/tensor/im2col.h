@@ -1,11 +1,13 @@
 #pragma once
-// im2col / col2im lowering for 2D convolution.
+// im2col lowering for 2D convolution.
 //
 // A convolution with Cin input channels, KhxKw kernel, stride S and padding
 // P over an HxW input becomes a GEMM whose A matrix has one row per output
 // pixel and K = Cin*Kh*Kw columns. This is also exactly how the layer's
 // weights are laid onto the systolic array: the GEMM's B matrix is
 // [K x Cout], and element (k, m) of B maps to PE(k mod N, m mod N).
+// snn::Conv2d lowers through it only when a GemmEngine (the systolic
+// faulty-eval model) runs the product; its float path convolves directly.
 
 #include "tensor/tensor.h"
 
@@ -33,10 +35,5 @@ struct ConvGeometry {
 /// im2col matrix [out_pixels x patch_size]. `out` must hold that many
 /// floats. Out-of-image taps read as 0 (zero padding).
 void im2col(const float* input, const ConvGeometry& g, float* out);
-
-/// Reverse scatter: accumulate an im2col-shaped gradient back into an input
-/// gradient buffer (C,H,W). `grad_input` must be pre-zeroed by the caller
-/// when starting a fresh accumulation.
-void col2im(const float* cols, const ConvGeometry& g, float* grad_input);
 
 }  // namespace falvolt::tensor

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "compute/gemm_kernels.h"
+#include "compute/thread_pool.h"
+#include "tensor/gemm.h"
+#include "tensor/im2col.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 
@@ -148,6 +154,325 @@ TEST(Conv2d, SpatialSizeChangeMidSequenceThrows) {
   conv.forward(tensor::Tensor({1, 1, 4, 4}), 0, Mode::kTrain);
   EXPECT_THROW(conv.forward(tensor::Tensor({1, 1, 6, 6}), 1, Mode::kTrain),
                std::invalid_argument);
+}
+
+// ------------------------------------------- direct kernels vs lowering
+//
+// Without a GemmEngine the layer runs direct kernels; they must give the
+// bits of the im2col + tensor::gemm / gemm_at_b / gemm_a_bt + col2im
+// lowering, spelled out here as the reference.
+
+enum class Input { kSpikes, kDenseSpikes, kPooled, kPixels };
+
+tensor::Tensor make_input(Input kind, tensor::Shape shape, common::Rng& rng) {
+  tensor::Tensor x(std::move(shape));
+  for (auto& v : x) {
+    const double u = rng.uniform(0.0, 1.0);
+    switch (kind) {
+      case Input::kSpikes:  // PLIF output: a few percent firing
+        v = u < 0.04 ? 1.0f : 0.0f;
+        break;
+      case Input::kDenseSpikes:
+        v = u < 0.45 ? 1.0f : 0.0f;
+        break;
+      case Input::kPooled:  // 2x2 average of spikes
+        v = static_cast<float>(static_cast<int>(rng.uniform(0.0, 5.0))) * 0.25f;
+        break;
+      case Input::kPixels:  // glyph pixels: background zeros, real strokes
+        v = u < 0.6 ? 0.0f : static_cast<float>(rng.uniform(0.0, 1.0));
+        break;
+    }
+  }
+  return x;
+}
+
+// col2im as the lowering ran it: output pixels ascending, each scattering
+// its in-image taps into the (pre-zeroed) input gradient.
+void col2im_ref(const float* cols, const tensor::ConvGeometry& g,
+                float* grad) {
+  for (int oy = 0; oy < g.out_h(); ++oy) {
+    for (int ox = 0; ox < g.out_w(); ++ox) {
+      const float* row =
+          cols + (static_cast<std::size_t>(oy) * g.out_w() + ox) *
+                     g.patch_size();
+      for (int c = 0; c < g.in_channels; ++c) {
+        for (int ky = 0; ky < g.kernel_h; ++ky) {
+          for (int kx = 0; kx < g.kernel_w; ++kx) {
+            const int iy = oy + ky - g.pad;
+            const int ix = ox + kx - g.pad;
+            if (iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w) continue;
+            grad[(static_cast<std::size_t>(c) * g.in_h + iy) * g.in_w + ix] +=
+                row[(c * g.kernel_h + ky) * g.kernel_w + kx];
+          }
+        }
+      }
+    }
+  }
+}
+
+struct Case {
+  Input input;
+  int n, cin, cout, size, kernel, pad;
+};
+
+struct Lowered {
+  std::vector<tensor::Tensor> out, grad_in;
+  tensor::Tensor weight_grad, bias_grad;
+};
+
+// T steps of forward, then backward for t = T-1..0, through the lowering.
+Lowered lowered_run(const tensor::Tensor& w, const tensor::Tensor& bias,
+                    const std::vector<tensor::Tensor>& xs,
+                    const std::vector<tensor::Tensor>& gys, int kernel,
+                    int pad) {
+  tensor::ConvGeometry g;
+  g.in_channels = xs[0].dim(1);
+  g.in_h = xs[0].dim(2);
+  g.in_w = xs[0].dim(3);
+  g.kernel_h = g.kernel_w = kernel;
+  g.pad = pad;
+  const int n = xs[0].dim(0);
+  const int p = g.out_pixels();
+  const int k = g.patch_size();
+  const int m = w.dim(1);
+  const std::size_t in_plane =
+      static_cast<std::size_t>(g.in_channels) * g.in_h * g.in_w;
+  Lowered r;
+  r.weight_grad = tensor::Tensor(w.shape());
+  r.bias_grad = tensor::Tensor(bias.shape());
+  std::vector<tensor::Tensor> cols;
+  for (const tensor::Tensor& x : xs) {
+    tensor::Tensor c({n * p, k});
+    for (int s = 0; s < n; ++s) {
+      tensor::im2col(x.data() + s * in_plane, g,
+                     c.data() + static_cast<std::size_t>(s) * p * k);
+    }
+    tensor::Tensor prod({n * p, m});
+    tensor::gemm(c.data(), w.data(), prod.data(), n * p, k, m);
+    tensor::Tensor out({n, m, g.out_h(), g.out_w()});
+    for (int s = 0; s < n; ++s) {
+      for (int pix = 0; pix < p; ++pix) {
+        for (int co = 0; co < m; ++co) {
+          out[(static_cast<std::size_t>(s) * m + co) * p + pix] =
+              prod[(static_cast<std::size_t>(s) * p + pix) * m + co] +
+              bias[static_cast<std::size_t>(co)];
+        }
+      }
+    }
+    r.out.push_back(std::move(out));
+    cols.push_back(std::move(c));
+  }
+  r.grad_in.resize(xs.size());
+  for (int t = static_cast<int>(xs.size()) - 1; t >= 0; --t) {
+    const tensor::Tensor& gy = gys[static_cast<std::size_t>(t)];
+    tensor::Tensor gm({n * p, m});
+    for (int s = 0; s < n; ++s) {
+      for (int co = 0; co < m; ++co) {
+        for (int pix = 0; pix < p; ++pix) {
+          gm[(static_cast<std::size_t>(s) * p + pix) * m + co] =
+              gy[(static_cast<std::size_t>(s) * m + co) * p + pix];
+        }
+      }
+    }
+    tensor::gemm_at_b(cols[static_cast<std::size_t>(t)].data(), gm.data(),
+                      r.weight_grad.data(), n * p, k, m, true);
+    for (int row = 0; row < n * p; ++row) {
+      for (int co = 0; co < m; ++co) {
+        r.bias_grad[static_cast<std::size_t>(co)] +=
+            gm[static_cast<std::size_t>(row) * m + co];
+      }
+    }
+    tensor::Tensor dcols({n * p, k});
+    tensor::gemm_a_bt(gm.data(), w.data(), dcols.data(), n * p, m, k);
+    tensor::Tensor gin(xs[0].shape());
+    for (int s = 0; s < n; ++s) {
+      col2im_ref(dcols.data() + static_cast<std::size_t>(s) * p * k, g,
+                 gin.data() + s * in_plane);
+    }
+    r.grad_in[static_cast<std::size_t>(t)] = std::move(gin);
+  }
+  return r;
+}
+
+bool same_bits(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Runs one sequence through `conv` (kernel and padding as in the
+// lowering call) and through the lowering, comparing every output and
+// gradient bitwise; then repeats the backward through the first-layer
+// entry point, which must accumulate the same parameter grads.
+void expect_same_sequence(Conv2d& conv, int pad,
+                          const std::vector<tensor::Tensor>& xs,
+                          const std::vector<tensor::Tensor>& gys) {
+  Param& bias = *conv.params()[1];
+  const Lowered ref = lowered_run(conv.weight_param().value, bias.value, xs,
+                                  gys, conv.kernel(), pad);
+  const int steps = static_cast<int>(xs.size());
+  for (Param* p : conv.params()) p->zero_grad();
+  conv.reset_state();
+  for (int t = 0; t < steps; ++t) {
+    const tensor::Tensor y =
+        conv.forward(xs[static_cast<std::size_t>(t)], t, Mode::kTrain);
+    EXPECT_TRUE(same_bits(y, ref.out[static_cast<std::size_t>(t)]))
+        << "forward t=" << t;
+  }
+  for (int t = steps - 1; t >= 0; --t) {
+    const tensor::Tensor gx =
+        conv.backward(gys[static_cast<std::size_t>(t)], t);
+    EXPECT_TRUE(same_bits(gx, ref.grad_in[static_cast<std::size_t>(t)]))
+        << "input grad t=" << t;
+  }
+  EXPECT_TRUE(same_bits(conv.weight_param().grad, ref.weight_grad));
+  EXPECT_TRUE(same_bits(bias.grad, ref.bias_grad));
+
+  for (Param* p : conv.params()) p->zero_grad();
+  conv.reset_state();
+  for (int t = 0; t < steps; ++t) {
+    conv.forward(xs[static_cast<std::size_t>(t)], t, Mode::kTrain);
+  }
+  for (int t = steps - 1; t >= 0; --t) {
+    conv.accumulate_param_grads(gys[static_cast<std::size_t>(t)], t);
+  }
+  EXPECT_TRUE(same_bits(conv.weight_param().grad, ref.weight_grad));
+  EXPECT_TRUE(same_bits(bias.grad, ref.bias_grad));
+}
+
+// T = 2 steps of inputs and output gradients for `cs`. Output gradients
+// are real-valued with a sprinkle of -0 and +0, like BN/PLIF gradients
+// behind inactive units.
+void make_sequence(const Case& cs, common::Rng& rng,
+                   std::vector<tensor::Tensor>& xs,
+                   std::vector<tensor::Tensor>& gys) {
+  const int out = cs.size + 2 * cs.pad - cs.kernel + 1;
+  xs.clear();
+  gys.clear();
+  for (int t = 0; t < 2; ++t) {
+    xs.push_back(make_input(cs.input, {cs.n, cs.cin, cs.size, cs.size}, rng));
+    tensor::Tensor gy = random_tensor({cs.n, cs.cout, out, out}, rng);
+    for (auto& v : gy) {
+      const double u = rng.uniform(0.0, 1.0);
+      if (u < 0.1) v = -0.0f;
+      else if (u < 0.2) v = 0.0f;
+    }
+    gys.push_back(std::move(gy));
+  }
+}
+
+void expect_bitwise(const Case& cs, std::uint64_t seed) {
+  SCOPED_TRACE("input " + std::to_string(static_cast<int>(cs.input)) +
+               " n " + std::to_string(cs.n) + " cin " +
+               std::to_string(cs.cin) + " cout " + std::to_string(cs.cout) +
+               " size " + std::to_string(cs.size) + " kernel " +
+               std::to_string(cs.kernel) + " pad " + std::to_string(cs.pad));
+  common::Rng rng(seed);
+  Conv2d conv("c", cs.cin, cs.cout, cs.kernel, cs.pad, rng);
+  testutil::fill_random(conv.params()[1]->value, rng, -0.5, 0.5);
+  std::vector<tensor::Tensor> xs, gys;
+  make_sequence(cs, rng, xs, gys);
+  expect_same_sequence(conv, cs.pad, xs, gys);
+}
+
+TEST(Conv2dDirect, BitwiseOnDigitGeometry) {
+  // SEncConv (1 or 2 input channels, pixels/events), Conv1 (8 channels of
+  // spikes, 16x16) and Conv2 (pooled rates, 8x8), at the zoo width 8 and
+  // the narrow width 4 some tests build.
+  std::uint64_t seed = 100;
+  for (const Input input :
+       {Input::kSpikes, Input::kPooled, Input::kPixels}) {
+    for (const int cin : {1, 2, 8}) {
+      for (const int size : {16, 8}) {
+        for (const int cout : {8, 4}) {
+          expect_bitwise({input, 3, cin, cout, size, 3, 1}, ++seed);
+        }
+      }
+    }
+  }
+}
+
+TEST(Conv2dDirect, BitwiseOnGestureGeometry) {
+  // 24 -> 12 -> 6 -> 3 -> 3; the deep 3x3 layers are small enough for
+  // the single-running-sum input-gradient dot.
+  std::uint64_t seed = 200;
+  for (const int size : {24, 12, 6, 3}) {
+    for (const Input input : {Input::kSpikes, Input::kPooled}) {
+      expect_bitwise({input, 2, 8, 8, size, 3, 1}, ++seed);
+    }
+  }
+  expect_bitwise({Input::kSpikes, 2, 2, 8, 24, 3, 1}, ++seed);
+  expect_bitwise({Input::kSpikes, 1, 8, 8, 3, 3, 1}, ++seed);
+}
+
+TEST(Conv2dDirect, BitwiseAtPaddedEdges) {
+  // No padding, wider padding, a 5x5 kernel, odd and non-square-friendly
+  // widths, and one output channel past a multiple of eight.
+  std::uint64_t seed = 300;
+  for (const Input input : {Input::kPooled, Input::kPixels}) {
+    expect_bitwise({input, 2, 3, 8, 7, 3, 0}, ++seed);
+    expect_bitwise({input, 2, 3, 8, 7, 3, 2}, ++seed);
+    expect_bitwise({input, 2, 2, 9, 9, 5, 2}, ++seed);
+    expect_bitwise({input, 2, 2, 5, 5, 1, 0}, ++seed);
+  }
+}
+
+TEST(Conv2dDirect, BitwiseOnBlockedWeightGradientBranch) {
+  // Dense enough inputs send the lowering's weight gradient to the
+  // transpose + blocked kernel; the direct path must notice and follow.
+  const Case cs{Input::kDenseSpikes, 8, 8, 8, 16, 3, 1};
+  common::Rng rng(400);
+  const tensor::Tensor x =
+      make_input(cs.input, {cs.n, cs.cin, cs.size, cs.size}, rng);
+  tensor::ConvGeometry g;
+  g.in_channels = cs.cin;
+  g.in_h = g.in_w = cs.size;
+  g.kernel_h = g.kernel_w = cs.kernel;
+  g.pad = cs.pad;
+  tensor::Tensor cols({g.out_pixels(), g.patch_size()});
+  tensor::im2col(x.data(), g, cols.data());
+  std::size_t nz = 0;
+  for (int i = 0; i < compute::kDensitySampleRows * g.patch_size(); ++i) {
+    nz += cols[static_cast<std::size_t>(i)] != 0.0f;
+  }
+  ASSERT_TRUE(compute::gemm_at_b_picks_blocked(
+      cs.n * g.out_pixels(), g.patch_size(), cs.cout, nz));
+  expect_bitwise(cs, 401);
+  for (const Input input : {Input::kPooled, Input::kPixels}) {
+    expect_bitwise({input, 8, 8, 8, 16, 3, 1}, 402);
+  }
+}
+
+TEST(Conv2dDirect, BitwiseAtAnyThreadCount) {
+  // Large enough slices run on the global pool; samples and input
+  // channels are split, never a sum.
+  for (const int threads : {1, 3}) {
+    compute::set_global_threads(threads);
+    expect_bitwise({Input::kSpikes, 6, 8, 8, 16, 3, 1}, 600);
+    expect_bitwise({Input::kPixels, 6, 2, 8, 16, 3, 1}, 601);
+  }
+  compute::set_global_threads(0);
+}
+
+TEST(Conv2dDirect, BitwiseAcrossReusedBuffers) {
+  // The layer keeps its padded inputs and backward scratch between
+  // sequences; batch sizes that shrink and grow, and an eval pass that
+  // releases the buffers, must not leak stale values into any result.
+  common::Rng rng(500);
+  Conv2d conv("c", 8, 8, 3, 1, rng);
+  std::vector<tensor::Tensor> xs, gys;
+  for (const int n : {3, 2, 4}) {
+    make_sequence({Input::kPooled, n, 8, 8, 16, 3, 1}, rng, xs, gys);
+    expect_same_sequence(conv, 1, xs, gys);
+  }
+  conv.reset_state();
+  const tensor::Tensor x = make_input(Input::kPixels, {5, 8, 16, 16}, rng);
+  const tensor::Tensor y = conv.forward(x, 0, Mode::kEval);
+  std::vector<tensor::Tensor> ys{y};
+  const Lowered ref = lowered_run(conv.weight_param().value,
+                                  conv.params()[1]->value, {x}, ys, 3, 1);
+  EXPECT_TRUE(same_bits(y, ref.out[0]));
+  make_sequence({Input::kSpikes, 3, 8, 8, 16, 3, 1}, rng, xs, gys);
+  expect_same_sequence(conv, 1, xs, gys);
 }
 
 }  // namespace

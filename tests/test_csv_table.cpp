@@ -4,11 +4,14 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/csv.h"
 #include "common/table.h"
+#include "io/csv.h"
 
 namespace falvolt::common {
 namespace {
+
+using io::csv_escape;
+using io::CsvWriter;
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);

@@ -22,12 +22,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/experiment.h"
 #include "core/sweep.h"
+#include "io/csv.h"
 #include "io/env.h"
 #include "io/fault_injector.h"
 #include "obs/metrics.h"
@@ -335,46 +338,96 @@ TEST_F(FaultInjectionTest, DamagedBaselineCacheWriteIsDropped) {
   EXPECT_TRUE(core::load_params(loaded, path));
 }
 
-// A sweep's JSON summary is published the same way: a plug pulled at
-// each of the six publish fault points leaves no summary or the
-// complete one, never a prefix, and a damaged write is never published.
+// A sweep's JSON summary, a figure CSV and the --metrics-json document
+// are published the same way: a plug pulled at each of the six publish
+// fault points leaves no file or the complete one, never a prefix, and a
+// damaged write is never published.
 TEST_F(FaultInjectionTest, SweepSummarySurvivesPlugPullAtEveryBoundary) {
   std::atomic<int> computed{0};
   const ResultTable table = run(store_opts(""), grid(), counting_fn(computed));
-  const std::string want = table.to_json("fault_test");
-  for (std::uint64_t runlen = 1; runlen <= 6; ++runlen) {
-    const std::string path =
-        dir_ + "/summary" + std::to_string(runlen) + ".json";
-    const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      FaultSpec spec;
-      spec.mode = FaultMode::kRunLength;
-      spec.run_length = runlen;
-      spec.kill = true;
-      spec.torn_writes = false;
-      spec.bitflips = false;
-      arm_faults(spec);
-      table.write_json(path, "fault_test");
-      ::_exit(0);  // only reached if no kill point fired
+  const std::string metrics = obs::metrics_json();
+  struct Writer {
+    const char* name;
+    std::string want;
+    std::function<void(const std::string&)> write;
+  };
+  const std::vector<Writer> writers = {
+      {"summary", table.to_json("fault_test"),
+       [&](const std::string& path) { table.write_json(path, "fault_test"); }},
+      {"csv", "a,b\n1,2\n",
+       [](const std::string& path) {
+         CsvWriter csv(path, {"a", "b"});
+         csv.row(std::vector<double>{1.0, 2.0});
+         csv.close();
+       }},
+      {"metrics", metrics,
+       [&](const std::string& path) {
+         if (!publish_file(path, metrics)) {
+           throw std::runtime_error("torn metrics dump");
+         }
+       }},
+  };
+  for (const Writer& w : writers) {
+    for (std::uint64_t runlen = 1; runlen <= 6; ++runlen) {
+      const std::string path = dir_ + "/" + w.name + std::to_string(runlen);
+      const pid_t pid = ::fork();
+      ASSERT_GE(pid, 0);
+      if (pid == 0) {
+        FaultSpec spec;
+        spec.mode = FaultMode::kRunLength;
+        spec.run_length = runlen;
+        spec.kill = true;
+        spec.torn_writes = false;
+        spec.bitflips = false;
+        arm_faults(spec);
+        w.write(path);
+        ::_exit(0);  // only reached if no kill point fired
+      }
+      int status = 0;
+      ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+      ASSERT_TRUE(WIFSIGNALED(status))
+          << w.name << " runlen=" << runlen << ": the write bypassed io::Env";
+      EXPECT_EQ(WTERMSIG(status), SIGKILL);
+      if (runlen <= 4) {
+        EXPECT_FALSE(fs::exists(path)) << w.name << " runlen=" << runlen;
+      } else {
+        EXPECT_EQ(real_env().read_file(path), w.want)
+            << w.name << " runlen=" << runlen;
+      }
     }
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFSIGNALED(status))
-        << "runlen=" << runlen << ": the summary write bypassed io::Env";
-    EXPECT_EQ(WTERMSIG(status), SIGKILL);
-    if (runlen <= 4) {
-      EXPECT_FALSE(fs::exists(path)) << "runlen=" << runlen;
-    } else {
-      EXPECT_EQ(real_env().read_file(path), want) << "runlen=" << runlen;
-    }
-  }
 
-  const std::string torn = dir_ + "/torn.json";
-  arm_faults(parse_fault_spec("mode=independent,p=1,seed=3,bitflip=0"));
-  EXPECT_THROW(table.write_json(torn, "fault_test"), std::runtime_error);
-  disarm_faults();
-  EXPECT_FALSE(fs::exists(torn));
+    const std::string torn = dir_ + "/torn_" + w.name;
+    arm_faults(parse_fault_spec("mode=independent,p=1,seed=3,bitflip=0"));
+    EXPECT_THROW(w.write(torn), std::runtime_error) << w.name;
+    disarm_faults();
+    EXPECT_FALSE(fs::exists(torn)) << w.name;
+  }
+}
+
+// The fail-fast writability probe checks the directory: a run that dies
+// after probing but before publishing leaves nothing at its output path,
+// and an unwritable directory is caught up front.
+TEST_F(FaultInjectionTest, RunDyingBeforePublishLeavesNoOutputFile) {
+  const std::string path = dir_ + "/out/table.csv";
+  fs::create_directories(dir_ + "/out");
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    if (!can_publish(path)) ::_exit(2);
+    CsvWriter csv(path, {"a"});
+    csv.row(std::vector<std::string>{"1"});
+    ::kill(::getpid(), SIGKILL);  // dies mid-run, before close()
+    ::_exit(3);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status));
+  EXPECT_FALSE(fs::exists(path));
+  EXPECT_TRUE(fs::is_empty(dir_ + "/out"));  // no probe left behind
+
+  EXPECT_FALSE(can_publish(dir_ + "/missing/table.csv"));
+  EXPECT_THROW(CsvWriter(dir_ + "/missing/table.csv", {"a"}),
+               std::runtime_error);
 }
 
 // ------------------------------------------------- per-layer degradation

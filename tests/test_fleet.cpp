@@ -539,5 +539,23 @@ TEST(GridRegistry, LookupAndValidation) {
   EXPECT_THROW(reg.add(std::move(incomplete)), std::logic_error);
 }
 
+// The bench mains' sweep-summary probe tests the directory: it creates
+// nothing at the summary path, so a run that dies before publishing
+// leaves no file there.
+TEST(BenchProbes, SweepJsonProbeCreatesNoFile) {
+  const std::string dir = ::testing::TempDir() + "falvolt_probe_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  common::CliFlags cli("probe");
+  cli.add_string("sweep-json", dir + "/summary.json", "summary path");
+  bench::probe_sweep_json(cli, "probe");
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+
+  common::CliFlags bad("probe");
+  bad.add_string("sweep-json", dir + "/missing/summary.json", "summary path");
+  EXPECT_THROW(bench::probe_sweep_json(bad, "probe"), std::runtime_error);
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace falvolt::core

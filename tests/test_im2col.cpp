@@ -108,39 +108,5 @@ TEST(Im2col, GemmEquivalentToDirectConv) {
   }
 }
 
-TEST(Im2col, Col2imIsAdjointOfIm2col) {
-  // <im2col(x), y> == <x, col2im(y)> for all x, y (adjoint property that
-  // guarantees the conv backward pass is the true gradient).
-  common::Rng rng(22);
-  const ConvGeometry g = make_geom(2, 6, 5, 3, 1);
-  Tensor x({2, 6, 5});
-  for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  Tensor y({g.out_pixels(), g.patch_size()});
-  for (auto& v : y) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-
-  Tensor cols({g.out_pixels(), g.patch_size()});
-  im2col(x.data(), g, cols.data());
-  double lhs = 0.0;
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    lhs += static_cast<double>(cols[i]) * y[i];
-  }
-
-  Tensor back({2, 6, 5});
-  col2im(y.data(), g, back.data());
-  double rhs = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    rhs += static_cast<double>(x[i]) * back[i];
-  }
-  EXPECT_NEAR(lhs, rhs, 1e-3);
-}
-
-TEST(Im2col, Col2imAccumulates) {
-  const ConvGeometry g = make_geom(1, 3, 3, 1, 0);
-  Tensor y({9, 1}, 1.0f);
-  Tensor grad({1, 3, 3}, 5.0f);  // pre-existing content must be kept
-  col2im(y.data(), g, grad.data());
-  for (std::size_t i = 0; i < grad.size(); ++i) EXPECT_EQ(grad[i], 6.0f);
-}
-
 }  // namespace
 }  // namespace falvolt::tensor

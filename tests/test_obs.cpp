@@ -116,19 +116,12 @@ TEST(ObsMetrics, EncodeMetricsJsonShape) {
             "{\n    \"a.b\": 1,\n    \"c \\\"q\\\"\": 2\n  }");
 }
 
-TEST(ObsMetrics, WriteMetricsJsonWritesWrapperAndFailsFast) {
-  const std::string path =
-      ::testing::TempDir() + "falvolt_obs_metrics_dump.json";
+TEST(ObsMetrics, MetricsJsonWrapsRegistry) {
   counter("test.obs.dump").add(1);
-  write_metrics_json(path);
-  const std::string body = read_file(path);
-  EXPECT_NE(body.find("\"metrics\": {"), std::string::npos);
+  const std::string body = metrics_json();
+  EXPECT_EQ(body.rfind("{\n  \"metrics\": {", 0), 0u);
   EXPECT_NE(body.find("\"test.obs.dump\""), std::string::npos);
-  fs::remove(path);
-
-  EXPECT_THROW(
-      write_metrics_json("/nonexistent_dir_for_obs_test/metrics.json"),
-      std::runtime_error);
+  EXPECT_EQ(body.substr(body.size() - 4), "}\n}\n");
 }
 
 // --------------------------------------------------------------- trace
