@@ -54,39 +54,30 @@ inline std::vector<std::string> split_list(const std::string& spec,
 
 // ----------------------------------------------------- execution flags
 // Execution-only flags — knobs that change HOW a run executes (where
-// telemetry goes, how processes are laid out, what I/O faults are
-// injected), never WHAT any cell computes. Declaring one here is the
-// whole job: registration (add_exec_flags), the fingerprint exemption
-// (flag_affects_results), and the fleet driver's managed/not-forwarded
-// bookkeeping all read this one table. Adding a new execution-only
-// flag anywhere else is a bug.
-
-enum ExecFlagGroup : unsigned {
-  kExecObs = 1u << 0,    ///< telemetry + fault injection (every driver)
-  kExecFleet = 1u << 1,  ///< daemon/worker process layout (sweep_fleet)
-};
+// telemetry goes, what I/O faults are injected), never WHAT any cell
+// computes. Declaring one here is the whole job: registration
+// (add_exec_flags), the fingerprint exemption (flag_affects_results),
+// and the fleet driver's managed/not-forwarded bookkeeping all read
+// this one table. Adding a new execution-only flag anywhere else is a
+// bug. Every entry is a string flag whose default is ''.
 
 struct ExecFlagDef {
   const char* name;
-  enum Kind { kString, kBool, kInt } kind;
-  const char* str_default;
-  int int_default;
-  unsigned groups;
   const char* help;
 };
 
 inline const std::vector<ExecFlagDef>& exec_flag_defs() {
   static const std::vector<ExecFlagDef> defs = {
-      {"trace", ExecFlagDef::kString, "", 0, kExecObs,
+      {"trace",
        "Chrome trace-event JSON output path ('' = $FALVOLT_TRACE, "
        "else disabled; none = disabled). Spans cover baselines, "
        "cells, and store I/O; load the file in Perfetto or "
        "chrome://tracing. Observation only — tables and "
        "fingerprints are byte-identical with tracing on or off"},
-      {"metrics-json", ExecFlagDef::kString, "", 0, kExecObs,
+      {"metrics-json",
        "write the process metrics registry (counters/timers) as "
        "JSON to this path on exit ('' = disabled)"},
-      {"faults", ExecFlagDef::kString, "", 0, kExecObs,
+      {"faults",
        "I/O fault-injection spec, e.g. "
        "'mode=independent,p=0.01,seed=7' or "
        "'mode=runlength,runlen=12,kill=1' ('' = $FALVOLT_FAULTS, "
@@ -95,49 +86,21 @@ inline const std::vector<ExecFlagDef>& exec_flag_defs() {
        "exercise the store's crash-safety guarantees. Execution "
        "only: never fingerprinted, and surviving output is "
        "byte-identical to an uninjected run"},
-      {"hosts", ExecFlagDef::kInt, nullptr, 0, kExecFleet,
-       "run the fleet as a scheduler daemon over N forked worker "
-       "processes claiming cells over a UNIX socket (0 = in-process; "
-       "results are byte-identical either way)"},
-      {"daemon-socket", ExecFlagDef::kString, "", 0, kExecFleet,
-       "fleet daemon socket path. With --hosts: where the daemon "
-       "listens ('' = /tmp/falvolt-fleet-<pid>.sock). Without "
-       "--hosts: run as a WORKER claiming cells from the daemon at "
-       "this path (workers are normally forked by the daemon, not "
-       "launched by hand)"},
-      {"worker-faults", ExecFlagDef::kString, "", 0, kExecFleet,
-       "per-worker fault-injection spec 'i:spec' applied (via "
-       "$FALVOLT_FAULTS) to forked worker i only, e.g. "
-       "'1:mode=runlength,runlen=30,kill=1' — the crash-harness "
-       "hook for killing one fleet worker while the rest run clean"},
   };
   return defs;
 }
 
-/// Register the execution-only flags of the given groups.
-inline void add_exec_flags(common::CliFlags& cli,
-                           unsigned groups = kExecObs) {
+/// Register the execution-only flags.
+inline void add_exec_flags(common::CliFlags& cli) {
   for (const ExecFlagDef& def : exec_flag_defs()) {
-    if (!(def.groups & groups)) continue;
-    switch (def.kind) {
-      case ExecFlagDef::kString:
-        cli.add_string(def.name, def.str_default, def.help);
-        break;
-      case ExecFlagDef::kBool:
-        cli.add_bool(def.name, def.int_default != 0, def.help);
-        break;
-      case ExecFlagDef::kInt:
-        cli.add_int(def.name, def.int_default, def.help);
-        break;
-    }
+    cli.add_string(def.name, "", def.help);
   }
 }
 
-/// True when `name` is declared in the exec-flag table (any group by
-/// default).
-inline bool is_exec_flag(const std::string& name, unsigned groups = ~0u) {
+/// True when `name` is declared in the exec-flag table.
+inline bool is_exec_flag(const std::string& name) {
   for (const ExecFlagDef& def : exec_flag_defs()) {
-    if ((def.groups & groups) && name == def.name) return true;
+    if (name == def.name) return true;
   }
   return false;
 }
@@ -152,8 +115,7 @@ inline void add_common_flags(common::CliFlags& cli) {
               "systolic array dimension N (NxN). The paper uses 256x256 "
               "with ~128-channel networks (~50% column utilization); our "
               "CPU-scaled networks are ~16x narrower, so the default "
-              "array is scaled to 64x64 to preserve utilization — see "
-              "EXPERIMENTS.md");
+              "array is scaled to 64x64 to preserve utilization");
   cli.add_int("threads", 0,
               "compute worker threads (0 = $FALVOLT_THREADS, else the "
               "hardware concurrency)");
@@ -192,7 +154,7 @@ inline void add_common_flags(common::CliFlags& cli) {
   cli.add_bool("list-scenarios", false,
                "print the scenario grid (index, owning shard, "
                "fingerprint, store status) and exit without computing");
-  add_exec_flags(cli, kExecObs);
+  add_exec_flags(cli);
 }
 
 /// Flags that never change a cell's value — execution knobs and output
@@ -279,9 +241,9 @@ class FaultScope {
   bool armed_ = false;
 };
 
-/// RAII session for the exec-flag table's kExecObs group — THE scope
-/// helper a driver constructs right after CliFlags::parse so every
-/// baseline/cell/store span lands inside the session: starts Chrome
+/// RAII session for the exec-flag table — THE scope helper a driver
+/// constructs right after CliFlags::parse so every baseline/cell/store
+/// span lands inside the session: starts Chrome
 /// tracing when --trace (or $FALVOLT_TRACE) names a file, and on
 /// destruction stops the trace and dumps the process metrics registry
 /// to --metrics-json when set. All knobs are execution-only

@@ -15,7 +15,9 @@
 // byte-identical to a standalone run — the fleet computes values, the
 // benches own their presentation. Per-grid shard specs compose
 // (--shard i/n partitions every grid), so fleets can span machines and
-// be unioned with sweep_merge like any other sweep.
+// be unioned with sweep_merge like any other sweep. Within one
+// invocation every cell runs in this process: the N workers are threads
+// of one core::FleetRunner.
 //
 //   sweep_fleet --store fleet_store --workers 8 --fast
 //     --grids fig5b_fault_count,fig2_vth_sweep
@@ -24,29 +26,19 @@
 // Common flags (--fast, --seed, --datasets, --repeats, ...) apply to
 // every grid; bench-specific flags are set per grid with --set.
 
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/json.h"
 #include "common/timer.h"
 #include "core/grid_registry.h"
-#include "fleet/daemon.h"
-#include "fleet/worker.h"
 #include "grids/grids.h"
 #include "io/env.h"
 #include "store/result_store.h"
@@ -79,8 +71,8 @@ std::map<std::string, std::vector<std::string>> parse_overrides(
           "--set entries must be bench.flag=value, got '" + entry + "'");
     }
     const std::string flag = entry.substr(dot + 1, eq - dot - 1);
-    // Every exec-table flag (telemetry, faults, process layout) is
-    // fleet-managed by definition: one table keeps this list honest.
+    // Every exec-table flag (telemetry, faults) is fleet-managed by
+    // definition: one table keeps this list honest.
     if (kFleetManaged.count(flag) || fb::is_exec_flag(flag)) {
       throw std::invalid_argument(
           "--set must not override fleet-managed flag --" + flag +
@@ -107,7 +99,6 @@ int main(int argc, char** argv) try {
 
   common::CliFlags cli("sweep_fleet");
   fb::add_common_flags(cli);
-  fb::add_exec_flags(cli, fb::kExecFleet);
   cli.add_int("workers", 0,
               "concurrent cells across ALL grids (overrides "
               "--sweep-parallel when > 0; 0 = --sweep-parallel resolution)");
@@ -123,51 +114,17 @@ int main(int argc, char** argv) try {
                  "sweep JSONs come from warm bench re-runs against the "
                  "fleet store");
   if (!cli.parse(argc, argv)) return 0;
-  fb::ExecScope obs_scope(cli);
-
-  // Process layout (the kExecFleet exec flags): --hosts N runs this
-  // invocation as the scheduler daemon forking N workers; a forked
-  // worker re-runs this binary with --daemon-socket set (and --hosts 0)
-  // and claims cells over the socket instead of its local queue.
-  const int hosts = static_cast<int>(cli.get_int("hosts"));
-  const std::string socket_flag = cli.get_string("daemon-socket");
-  const bool daemon_mode = hosts > 0;
-  const bool worker_mode = !daemon_mode && !socket_flag.empty();
-  if (hosts < 0) {
-    std::fprintf(stderr, "sweep_fleet: --hosts must be >= 0\n");
+  // --sweep-json is a common bench flag, but the fleet has no per-bench
+  // sweep summary to write: reject it before any work instead of
+  // accepting it and writing nothing.
+  if (!cli.get_string("sweep-json").empty()) {
+    std::fprintf(stderr,
+                 "sweep_fleet: --sweep-json is not supported; use --json for "
+                 "the fleet summary (per-bench sweep JSONs come from warm "
+                 "bench re-runs against the fleet store)\n");
     return 1;
   }
-  int fault_worker = -1;  // --worker-faults "i:spec": arm worker i only
-  std::string fault_spec;
-  if (!cli.get_string("worker-faults").empty()) {
-    if (!daemon_mode) {
-      std::fprintf(stderr,
-                   "sweep_fleet: --worker-faults needs --hosts (it names a "
-                   "forked worker)\n");
-      return 1;
-    }
-    const std::string& wf = cli.get_string("worker-faults");
-    const std::size_t colon = wf.find(':');
-    bool ok = colon != std::string::npos && colon > 0 && colon + 1 < wf.size();
-    if (ok) {
-      try {
-        std::size_t used = 0;
-        fault_worker = std::stoi(wf.substr(0, colon), &used);
-        ok = used == colon && fault_worker >= 0 && fault_worker < hosts;
-      } catch (const std::exception&) {
-        ok = false;
-      }
-    }
-    if (!ok) {
-      std::fprintf(stderr,
-                   "sweep_fleet: --worker-faults must be "
-                   "'<worker-index>:<fault-spec>' with the index below "
-                   "--hosts, got '%s'\n",
-                   wf.c_str());
-      return 1;
-    }
-    fault_spec = wf.substr(colon + 1);
-  }
+  fb::ExecScope obs_scope(cli);
 
   const std::string store_dir = fb::resolve_store_dir(cli);
   if (store_dir.empty()) {
@@ -266,9 +223,8 @@ int main(int argc, char** argv) try {
       "workers", "grids", "set", "json"};  // fleet-only flags
   std::vector<std::string> forwards;
   for (const auto& [flag, value] : cli.items()) {
-    // Exec-table flags (telemetry, fault injection, process layout) are
-    // one-per-fleet-process by definition and the grid CLIs don't even
-    // register the fleet group — never forwarded.
+    // Exec-table flags (telemetry, fault injection) are one per fleet
+    // process by definition — never forwarded.
     if (!kNotForwarded.count(flag) && !fb::is_exec_flag(flag)) {
       forwards.push_back("--" + flag + "=" + value);
     }
@@ -378,201 +334,6 @@ int main(int argc, char** argv) try {
         spec.def->scenario_fn(spec.cli, fleet.context())});
   }
 
-  // Worker mode (--daemon-socket without --hosts, i.e. a process the
-  // daemon forked): build the same grids the daemon did, register every
-  // cell under its wire name, and let FleetRunner's claim loop pull work
-  // over the socket instead of its in-process queue. Workers publish
-  // records directly to the shared store — the daemon only ever sees
-  // metadata — then exit without tables or summaries of their own.
-  if (worker_mode) {
-    fleet::SocketCellQueue queue(socket_flag,
-                                 "worker-" + std::to_string(getpid()));
-    for (std::size_t g = 0; g < specs.size(); ++g) {
-      const FleetGridSpec& spec = specs[g];
-      for (std::size_t i = 0; i < spec.scenarios.size(); ++i) {
-        queue.register_cell(
-            spec.def->name, spec.scenarios[i].key,
-            core::fingerprint_cell(spec.store, fleet_opts, spec.scenarios[i]),
-            static_cast<int>(g), static_cast<int>(i));
-      }
-    }
-    queue.connect_and_hello();
-    fleet.set_cell_queue(&queue);
-    fleet.run();
-    return 0;
-  }
-
-  // Daemon phase (--hosts N): triage the union of owned cells HERE,
-  // serve the misses to N forked worker processes over the socket
-  // protocol, then fall through to the normal in-process run below —
-  // with every miss now published it is a warm replay, so the tables
-  // and figure CSVs are byte-identical to a --hosts 0 run by
-  // construction.
-  fleet::DaemonStats dstats;
-  double daemon_seconds = 0.0;
-  std::size_t triage_cached = 0;
-  std::string daemon_socket_path;
-  if (daemon_mode) {
-    std::vector<fleet::DaemonCell> cells;
-    {
-      const std::unique_ptr<store::StoreApi> rs = store::open_store(
-          store_dir, fb::split_list(cli.get_string("substituters")),
-          /*create=*/true);
-      for (const FleetGridSpec& spec : specs) {
-        std::vector<double> costs(spec.scenarios.size(), 0.0);
-        for (std::size_t i = 0; i < spec.scenarios.size(); ++i) {
-          costs[i] = core::scenario_cost_estimate(spec.scenarios[i]);
-        }
-        const std::vector<int> owners =
-            core::shard_partition(costs, spec.store.shard_count);
-        for (std::size_t i = 0; i < spec.scenarios.size(); ++i) {
-          if (spec.store.shard_count > 1 &&
-              owners[i] != spec.store.shard_index) {
-            continue;  // another machine's shard; unioned by sweep_merge
-          }
-          const std::string fp = core::fingerprint_cell(
-              spec.store, fleet_opts, spec.scenarios[i]);
-          if (spec.store.resume) {
-            if (const std::optional<std::string> payload = rs->get(fp)) {
-              core::ScenarioResult prior;
-              if (core::decode_scenario_result(*payload, prior) &&
-                  prior.scenario.key == spec.scenarios[i].key) {
-                ++triage_cached;
-                continue;  // already paid for — nothing to schedule
-              }
-            }
-          }
-          cells.push_back(fleet::DaemonCell{
-              spec.def->name, spec.scenarios[i].key, fp, costs[i]});
-        }
-      }
-    }
-
-    const std::size_t misses = cells.size();
-    if (misses == 0) {
-      std::printf("[fleet] daemon: every owned cell already published "
-                  "(%zu replayed at triage) — no workers forked\n",
-                  triage_cached);
-    } else {
-      // The pid-stamped marker lets a concurrent sweep_merge see a live
-      // fleet mid-publish and refuse to emit half-baked tables.
-      store::InProgressGuard inprogress(
-          store::parse_store_spec(store_dir).path);
-      daemon_socket_path =
-          socket_flag.empty()
-              ? "/tmp/falvolt-fleet-" + std::to_string(getpid()) + ".sock"
-              : socket_flag;
-      fleet::Daemon daemon(fleet::DaemonOptions{daemon_socket_path},
-                           std::move(cells));
-      daemon.bind_and_listen();  // before fork: no worker can race the bind
-
-      // The worker command line is this command line minus the exec
-      // flags and daemon-only outputs, plus the fixed worker layout:
-      // the resolved store, ONE claim slot (fleet/worker.h), a fair
-      // share of the machine's threads, and the daemon socket.
-      static const std::set<std::string> kNotReexeced = {
-          "hosts", "daemon-socket", "worker-faults",   // layout, set below
-          "trace", "metrics-json", "faults",  // telemetry owned by daemon
-          "json", "list-scenarios",           // daemon-only outputs
-          "store", "sweep-parallel", "workers", "threads"};  // forced below
-      const long want_threads = cli.get_int("threads");
-      const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-      const int worker_threads =
-          want_threads > 0
-              ? static_cast<int>(want_threads)
-              : static_cast<int>(
-                    std::max(1u, hw / static_cast<unsigned>(hosts)));
-      std::vector<std::string> wargs = {std::string(argv[0])};
-      for (const auto& [flag, value] : cli.items()) {
-        if (!kNotReexeced.count(flag)) {
-          wargs.push_back("--" + flag + "=" + value);
-        }
-      }
-      wargs.push_back("--store=" + store_dir);
-      wargs.push_back("--sweep-parallel=1");
-      wargs.push_back("--threads=" + std::to_string(worker_threads));
-      wargs.push_back("--daemon-socket=" + daemon_socket_path);
-
-      std::vector<pid_t> pids;
-      std::vector<bool> reaped;
-      for (int w = 0; w < hosts; ++w) {
-        const pid_t pid = fork();
-        if (pid < 0) {
-          std::fprintf(stderr, "sweep_fleet: fork: %s\n",
-                       std::strerror(errno));
-          for (const pid_t p : pids) kill(p, SIGTERM);
-          for (const pid_t p : pids) waitpid(p, nullptr, 0);
-          return 1;
-        }
-        if (pid == 0) {
-          // Child. Fault injection is strictly per-worker: the fleet's
-          // own $FALVOLT_FAULTS must not arm every worker, and
-          // --worker-faults "i:spec" arms exactly worker i.
-          unsetenv("FALVOLT_FAULTS");
-          if (w == fault_worker) setenv("FALVOLT_FAULTS", fault_spec.c_str(), 1);
-          std::vector<char*> cargv;
-          cargv.reserve(wargs.size() + 1);
-          for (std::string& a : wargs) cargv.push_back(a.data());
-          cargv.push_back(nullptr);
-          execv("/proc/self/exe", cargv.data());
-          std::fprintf(stderr, "sweep_fleet: execv: %s\n",
-                       std::strerror(errno));
-          _exit(127);
-        }
-        pids.push_back(pid);
-        reaped.push_back(false);
-      }
-
-      // Parent-side liveness for the daemon's poll loop: reap any dead
-      // worker (so a SIGKILLed one never lingers as a zombie) and count
-      // the rest. Zero live + cells remaining = unrecoverable, and
-      // serve() throws instead of hanging forever.
-      const auto live_workers = [&pids, &reaped]() {
-        int alive = 0;
-        for (std::size_t i = 0; i < pids.size(); ++i) {
-          if (reaped[i]) continue;
-          const pid_t r = waitpid(pids[i], nullptr, WNOHANG);
-          if (r == 0) {
-            ++alive;
-          } else {
-            reaped[i] = true;  // exited (or ECHILD) — gone either way
-          }
-        }
-        return alive;
-      };
-
-      std::printf("[fleet] daemon: %zu miss(es) over %d worker(s) on %s "
-                  "(%zu replayed at triage)\n",
-                  misses, hosts, daemon_socket_path.c_str(), triage_cached);
-      common::Timer wall;
-      try {
-        dstats = daemon.serve(live_workers);
-      } catch (const std::exception& e) {
-        for (std::size_t i = 0; i < pids.size(); ++i) {
-          if (!reaped[i]) kill(pids[i], SIGTERM);
-        }
-        for (std::size_t i = 0; i < pids.size(); ++i) {
-          if (!reaped[i]) waitpid(pids[i], nullptr, 0);
-        }
-        std::fprintf(stderr, "sweep_fleet: daemon: %s\n", e.what());
-        return 1;
-      }
-      daemon_seconds = wall.seconds();
-      for (std::size_t i = 0; i < pids.size(); ++i) {
-        if (!reaped[i]) waitpid(pids[i], nullptr, 0);  // clean SHUTDOWN exits
-      }
-      std::printf("[fleet] daemon: %d computed, %d cached, %d re-queued "
-                  "after %d worker death(s) in %.1f s\n",
-                  dstats.computed, dstats.cached, dstats.requeued,
-                  dstats.worker_deaths, daemon_seconds);
-      for (const fleet::DaemonStats::WorkerLoad& wl : dstats.workers) {
-        std::printf("[fleet] worker %d (%s): %d cell(s), %.1f s busy\n",
-                    wl.worker_id, wl.name.c_str(), wl.cells,
-                    wl.busy_seconds);
-      }
-    }
-  }
-
   std::printf("=== sweep_fleet ===\n%zu grid(s) against store %s "
               "(cost-ordered queue)\n\n",
               specs.size(), store_dir.c_str());
@@ -589,31 +350,29 @@ int main(int argc, char** argv) try {
                 specs[g].def->name.c_str(), t.size(), t.computed_cells(),
                 t.cached_cells(), t.absent_cells());
   }
+  const double total_seconds =
+      tables.empty() ? 0.0 : tables.front().total_seconds();
+  const int run_workers =
+      tables.empty() ? 0 : tables.front().sweep_parallel();
   std::printf("[fleet] total: %zu computed, %zu cached, %zu absent in "
               "%.1f s at %d worker(s)\n",
-              computed, cached, absent,
-              tables.empty() ? 0.0 : tables.front().total_seconds(),
-              tables.empty() ? 0 : tables.front().sweep_parallel());
+              computed, cached, absent, total_seconds, run_workers);
   // Per-worker tail utilization: the cost-ordered queue exists so no
   // worker shows a near-zero busy fraction while one drains a late
   // retrain cell.
-  const double total_seconds =
-      tables.empty() ? 0.0 : tables.front().total_seconds();
   const std::vector<core::WorkerStats>& workers = fleet.worker_stats();
-  if (!daemon_mode) {  // daemon mode printed its socket workers above
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-      std::printf("[fleet] worker %zu: %zu cell(s), %.1f s busy (%.0f%% "
-                  "utilization)\n",
-                  w, workers[w].cells, workers[w].busy_seconds,
-                  total_seconds > 0.0
-                      ? 100.0 * workers[w].busy_seconds / total_seconds
-                      : 0.0);
-    }
+  for (std::size_t w = 0; w < workers.size(); ++w) {
+    std::printf("[fleet] worker %zu: %zu cell(s), %.1f s busy (%.0f%% "
+                "utilization)\n",
+                w, workers[w].cells, workers[w].busy_seconds,
+                total_seconds > 0.0
+                    ? 100.0 * workers[w].busy_seconds / total_seconds
+                    : 0.0);
   }
 
   // Auto-merge: a table with no absent cells means the LAST shard just
   // landed — emit the figure CSV straight from the shared store so a
-  // multi-host fleet needs no manual sweep_merge step. Earlier shards
+  // sharded fleet needs no manual sweep_merge step. Earlier shards
   // still see foreign cells absent and leave emission to the finisher.
   const store::StoreSpec store_spec = store::parse_store_spec(store_dir);
   bool emitted_tables = false;
@@ -639,56 +398,23 @@ int main(int argc, char** argv) try {
 
   if (!cli.get_string("json").empty()) {
     std::ostringstream out;
-    // In daemon mode the run block reports the DAEMON's ledger — what
-    // the forked workers actually computed — not the parent's warm
-    // replay (which by construction computes zero cells).
-    const long run_workers =
-        daemon_mode ? hosts
-                    : (tables.empty() ? 0 : tables.front().sweep_parallel());
     // total_seconds is the cell phase, the time worker utilization is a
     // share of; baseline_seconds is the baseline phase before it.
-    const double run_seconds = daemon_mode ? daemon_seconds : total_seconds;
-    const std::size_t run_computed =
-        daemon_mode ? static_cast<std::size_t>(dstats.computed) : computed;
-    const std::size_t run_cached =
-        daemon_mode ? triage_cached + static_cast<std::size_t>(dstats.cached)
-                    : cached;
     out << "{\n  \"driver\": \"sweep_fleet\",\n  \"store\": \""
         << common::json_escape(store_dir)
         << "\",\n  \"run\": {\"workers\": " << run_workers
-        << ", \"total_seconds\": " << run_seconds
+        << ", \"total_seconds\": " << total_seconds
         << ", \"baseline_seconds\": " << fleet.baseline_seconds()
-        << ", \"cells_computed\": " << run_computed
-        << ", \"cells_cached\": " << run_cached
-        << ", \"cells_absent\": " << absent << "},\n";
-    if (daemon_mode) {
-      out << "  \"daemon\": {\"socket\": \""
-          << common::json_escape(daemon_socket_path)
-          << "\", \"hosts\": " << hosts
-          << ", \"requeued\": " << dstats.requeued
-          << ", \"worker_deaths\": " << dstats.worker_deaths << "},\n";
-    }
-    out << "  \"workers\": [\n";
-    if (daemon_mode) {
-      for (std::size_t w = 0; w < dstats.workers.size(); ++w) {
-        const fleet::DaemonStats::WorkerLoad& wl = dstats.workers[w];
-        out << "    {\"worker\": " << wl.worker_id << ", \"name\": \""
-            << common::json_escape(wl.name) << "\", \"cells\": " << wl.cells
-            << ", \"busy_seconds\": " << wl.busy_seconds
-            << ", \"utilization\": "
-            << (daemon_seconds > 0.0 ? wl.busy_seconds / daemon_seconds : 0.0)
-            << "}" << (w + 1 == dstats.workers.size() ? "\n" : ",\n");
-      }
-    } else {
-      for (std::size_t w = 0; w < workers.size(); ++w) {
-        out << "    {\"worker\": " << w << ", \"cells\": " << workers[w].cells
-            << ", \"busy_seconds\": " << workers[w].busy_seconds
-            << ", \"utilization\": "
-            << (total_seconds > 0.0
-                    ? workers[w].busy_seconds / total_seconds
-                    : 0.0)
-            << "}" << (w + 1 == workers.size() ? "\n" : ",\n");
-      }
+        << ", \"cells_computed\": " << computed
+        << ", \"cells_cached\": " << cached
+        << ", \"cells_absent\": " << absent << "},\n  \"workers\": [\n";
+    for (std::size_t w = 0; w < workers.size(); ++w) {
+      out << "    {\"worker\": " << w << ", \"cells\": " << workers[w].cells
+          << ", \"busy_seconds\": " << workers[w].busy_seconds
+          << ", \"utilization\": "
+          << (total_seconds > 0.0 ? workers[w].busy_seconds / total_seconds
+                                  : 0.0)
+          << "}" << (w + 1 == workers.size() ? "\n" : ",\n");
     }
     out << "  ],\n  \"grids\": [\n";
     for (std::size_t g = 0; g < tables.size(); ++g) {

@@ -180,9 +180,9 @@ int main(int argc, char** argv) {
   // A fleet still publishing into any involved store means a merge or
   // table emission would capture a half-published shard: a "complete"
   // looking CSV missing the cells that land a second later. The sweep
-  // engine and the fleet daemon hold pid-stamped in-progress markers
-  // (store::InProgressGuard) for exactly this check; dead markers from
-  // SIGKILLed runs are reaped, only LIVE publishers block.
+  // engine holds pid-stamped in-progress markers (store::InProgressGuard)
+  // for exactly this check; dead markers from SIGKILLed runs are reaped,
+  // only LIVE publishers block.
   {
     std::vector<std::string> roots = {into_spec.path};
     for (const std::string& dir : from_dirs) {

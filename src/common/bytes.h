@@ -1,13 +1,13 @@
 #pragma once
 // Little-endian length-prefixed byte codec, shared by the scenario-result
-// store payload (core/sweep.cpp) and the fleet daemon's wire protocol
-// (fleet/protocol.h). Writers append fixed-width integers / doubles /
+// store payload (core/sweep.cpp) and the baseline parameter cache
+// (core/experiment.cpp). Writers append fixed-width integers / doubles /
 // length-prefixed strings to a std::string; ByteReader walks the same
 // layout back, checking the remaining byte count before EVERY read, so a
 // truncated or garbage buffer can only ever fail a read — never
 // over-read, throw, or allocate from a damaged length word. That
 // defensive contract is what lets both consumers treat malformed input
-// as "miss / protocol error" instead of undefined behavior.
+// as a miss or a load error instead of undefined behavior.
 
 #include <cstdint>
 #include <cstring>

@@ -93,6 +93,14 @@ using common::put_str;
 using common::put_u32;
 using common::put_u64;
 
+// One cell of FleetRunner::run()'s queue: which added grid, which
+// grid-local scenario index, and the cost estimate that ordered it.
+struct Claim {
+  int grid = 0;
+  int index = 0;
+  double cost = 0.0;
+};
+
 }  // namespace
 
 std::string encode_scenario_result(const ScenarioResult& r) {
@@ -773,15 +781,15 @@ std::vector<ResultTable> FleetRunner::run() {
   // worker drained the cheap evals; claimed FIRST it overlaps all of
   // them. Ordering is pure scheduling — tables are emitted in grid
   // order, so any claim order produces byte-identical CSV/JSON values.
-  std::vector<CellQueue::Claim> queue;
+  std::vector<Claim> queue;
   for (std::size_t g = 0; g < gs.size(); ++g) {
     for (std::size_t p = 0; p < gs[g].pending.size(); ++p) {
-      queue.push_back(CellQueue::Claim{static_cast<int>(g), gs[g].pending[p],
-                                       gs[g].pending_cost[p]});
+      queue.push_back(Claim{static_cast<int>(g), gs[g].pending[p],
+                            gs[g].pending_cost[p]});
     }
   }
   std::stable_sort(queue.begin(), queue.end(),
-                   [](const CellQueue::Claim& a, const CellQueue::Claim& b) {
+                   [](const Claim& a, const Claim& b) {
                      return a.cost > b.cost;
                    });
 
@@ -791,7 +799,7 @@ std::vector<ResultTable> FleetRunner::run() {
   // trains/loads nothing at all.
   if (prepare_baselines_ && !queue.empty()) {
     std::set<DatasetKind> kinds;
-    for (const CellQueue::Claim& c : queue) {
+    for (const Claim& c : queue) {
       kinds.insert(gs[static_cast<std::size_t>(c.grid)].grid->scenarios
                        [static_cast<std::size_t>(c.index)].dataset);
     }
@@ -829,7 +837,6 @@ std::vector<ResultTable> FleetRunner::run() {
     }
   }
 
-  CellQueue* const external_queue = cell_queue_;
   common::Timer timer;
   std::mutex err_mu;
   std::vector<std::string> errors;
@@ -839,40 +846,14 @@ std::vector<ResultTable> FleetRunner::run() {
   // then run() throws) — a deterministic error affecting every cell
   // must not burn hours draining the rest of the grid first.
   std::atomic<bool> failed{false};
-  const auto run_one = [&](const CellQueue::Claim& claim, int worker) {
+  const auto run_one = [&](const Claim& claim, int worker) {
     static obs::Counter& computed_cells = obs::counter("sweep.cells.computed");
     static obs::Counter& failed_cells = obs::counter("sweep.cells.failed");
     static obs::Counter& put_ns = obs::counter("sweep.store.put.ns");
     static obs::Counter& put_count = obs::counter("sweep.store.put.count");
-    static obs::Counter& recheck_cells =
-        obs::counter("sweep.cells.recheck_cached");
     GridState& st = gs[static_cast<std::size_t>(claim.grid)];
     const std::size_t idx = static_cast<std::size_t>(claim.index);
     const Scenario& scenario = st.grid->scenarios[idx];
-    // An at-least-once queue may deliver a cell twice (a SIGKILLed
-    // worker's in-flight claims are re-queued, and the original may in
-    // fact have published before dying). Re-probing the shared store
-    // before computing turns the duplicate into a replay of the
-    // paid-for record — the "zero lost paid work" half of the crash
-    // contract costs one store read, not a recompute.
-    if (external_queue && external_queue->at_least_once() && st.rs &&
-        st.grid->store.resume && !st.fps[idx].empty()) {
-      if (const std::optional<std::string> payload = st.rs->get(st.fps[idx])) {
-        ScenarioResult r;
-        if (decode_scenario_result(*payload, r) &&
-            r.scenario.key == scenario.key) {
-          r.scenario = scenario;
-          r.fingerprint = st.fps[idx];
-          st.table.put_cached(idx, std::move(r));
-          recheck_cells.add(1);
-          std::fprintf(stderr, "[sweep %d/?] %s:%s (already published)\n",
-                       done.fetch_add(1) + 1, st.label.c_str(),
-                       scenario.key.c_str());
-          external_queue->complete(claim, /*cached=*/true, 0.0);
-          return;
-        }
-      }
-    }
     // One span per computed cell, on the claiming worker's track; the
     // args are exactly what an operator needs to find the cell again
     // (bench, key, fingerprint prefix) plus the schedule facts (worker,
@@ -911,9 +892,6 @@ std::vector<ResultTable> FleetRunner::run() {
       }
       st.table.put(idx, std::move(r));
       computed_cells.add(1);
-      if (external_queue) {
-        external_queue->complete(claim, /*cached=*/false, t.seconds());
-      }
     } catch (const std::exception& e) {
       failed.store(true);
       failed_cells.add(1);
@@ -921,9 +899,6 @@ std::vector<ResultTable> FleetRunner::run() {
       {
         std::lock_guard<std::mutex> lock(err_mu);
         errors.push_back(st.label + ": " + scenario.key + ": " + e.what());
-      }
-      if (external_queue) {
-        external_queue->fail(claim, scenario.key + ": " + e.what());
       }
     }
     // Each worker slot writes only its own entry — no lock needed.
@@ -938,46 +913,17 @@ std::vector<ResultTable> FleetRunner::run() {
                  scenario.key.c_str(), t.seconds(), status);
   };
 
-  // Where worker `w` gets its next cell: the external queue when one is
-  // installed (daemon fleet worker — the local cost-ordered queue then
-  // only seeded triage and baseline prep, and work arrives as socket
-  // claims until the daemon answers with SHUTDOWN), else the shared
-  // counter over the local queue. Cells are claimed one at a time:
+  // Workers claim one cell at a time from the shared counter:
   // parallel_for's chunk heuristic would batch several cells per claim
   // on large grids, and cells are far too coarse and heterogeneous for
   // that — a cheap eval cell must not wait behind a slow retraining
   // cell in the same chunk.
   std::atomic<int> next{0};
-  const auto claim_next = [&](int w) -> std::optional<CellQueue::Claim> {
-    if (!external_queue) {
-      const int i = next.fetch_add(1);
-      if (i >= np) return std::nullopt;
-      return queue[static_cast<std::size_t>(i)];
-    }
-    std::optional<CellQueue::Claim> c = external_queue->claim(w);
-    if (c && (c->grid < 0 || c->grid >= static_cast<int>(gs.size()) ||
-              c->index < 0 ||
-              c->index >= static_cast<int>(
-                              gs[static_cast<std::size_t>(c->grid)]
-                                  .grid->scenarios.size()))) {
-      failed.store(true);
-      const std::string what = "claim (" + std::to_string(c->grid) + ", " +
-                               std::to_string(c->index) +
-                               ") is out of range for this worker's grids";
-      {
-        std::lock_guard<std::mutex> lock(err_mu);
-        errors.push_back(what);
-      }
-      external_queue->fail(*c, what);
-      return std::nullopt;
-    }
-    return c;
-  };
   const auto drain = [&](int w) {
     while (!failed.load()) {
-      const std::optional<CellQueue::Claim> c = claim_next(w);
-      if (!c) break;
-      run_one(*c, w);
+      const int i = next.fetch_add(1);
+      if (i >= np) break;
+      run_one(queue[static_cast<std::size_t>(i)], w);
     }
   };
   if (parallel <= 1) {

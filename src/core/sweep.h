@@ -44,7 +44,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -91,10 +90,10 @@ struct Scenario {
 inline constexpr double kRetrainCostPerEpoch = 100.0;
 double scenario_cost_estimate(const Scenario& s);
 
-/// Per-worker accounting of one sweep/fleet run: how many cells worker
-/// `i` claimed and how long it was busy computing them. busy_seconds /
-/// the run's total_seconds is that worker's utilization — the fleet
-/// tail shows up as one worker near 1.0 while the rest idle.
+/// Per-worker accounting of one FleetRunner::run(): how many cells worker
+/// thread `i` claimed and how long it was busy computing them. busy_seconds /
+/// the run's total_seconds is that worker's utilization — the fleet tail shows
+/// up as one worker near 1.0 while the rest idle.
 struct WorkerStats {
   std::size_t cells = 0;
   double busy_seconds = 0.0;
@@ -218,52 +217,6 @@ std::vector<int> shard_partition(const std::vector<double>& costs,
 /// fleet driver address identical cells.
 std::string fingerprint_cell(const SweepStoreOptions& store,
                              const WorkloadOptions& opts, const Scenario& s);
-
-class FleetRunner;
-
-/// Where a sweep's workers get their next cell. FleetRunner's built-in
-/// queue (a cost-sorted vector drained through one atomic counter) is
-/// the in-process default; the fleet daemon's socket-fed workers install
-/// a fleet::SocketCellQueue instead — triage, baseline sharing, compute,
-/// publish, and accounting paths are identical either way, which is
-/// what keeps daemon-fed and in-process runs byte-identical.
-class CellQueue {
- public:
-  /// One claimed cell: which added grid, which grid-local scenario
-  /// index, and the cost estimate that scheduled it.
-  struct Claim {
-    int grid = 0;
-    int index = 0;
-    double cost = 0.0;
-  };
-
-  virtual ~CellQueue() = default;
-
-  /// Next cell for worker slot `worker`, or nullopt when the queue is
-  /// drained (the worker then exits its claim loop). May block (the
-  /// socket queue waits on the daemon). Must be callable concurrently
-  /// from several worker slots.
-  virtual std::optional<Claim> claim(int worker) = 0;
-
-  /// The claimed cell's record is durably published (cached=false) or
-  /// was found already published by someone else (cached=true — the
-  /// at-least-once re-check hit). Either way the cell is done.
-  virtual void complete(const Claim& claim, bool cached,
-                        double seconds) = 0;
-
-  /// The claimed cell's scenario function threw. The runner still fails
-  /// the sweep fast afterwards; an external queue uses this to tell the
-  /// scheduler before the process exits.
-  virtual void fail(const Claim& claim, const std::string& error) = 0;
-
-  /// True when claims come from an external scheduler that may deliver
-  /// a cell more than once (at-least-once: a worker killed after
-  /// publishing but before reporting gets its in-flight cell re-queued).
-  /// The runner then re-checks the store before computing every claim,
-  /// so duplicate delivery replays the paid-for record instead of
-  /// recomputing it.
-  virtual bool at_least_once() const = 0;
-};
 
 /// Thread-safe, order-preserving aggregation of scenario results plus
 /// CSV / JSON emission. Slot `i` belongs to scenario `i` of the sweep.
@@ -394,20 +347,19 @@ struct FleetGrid {
 
 /// Executes one or more benches' grids as one work queue.
 ///
-/// A figure bench adds its own grid; sweep_fleet adds several. The cells
-/// of every added grid form a single work-stealing queue ordered
-/// most-expensive-first: retrain cells are claimed while the cheap
-/// evals still cover the other workers, so a heterogeneous sweep does
-/// not strand one worker on a late retrain cell after everyone else
-/// drained the queue. All grids share one SweepContext, so a dataset
-/// baseline is trained (or cache-loaded) once per run no matter how
-/// many grids need it — and every cell is fingerprinted by its owning
-/// bench's identity (bench name, config, and workload), so the store is
-/// interchangeable between fleet and per-bench runs: cells computed by
-/// the fleet replay in the bench, and vice versa. Per-grid shard specs
-/// are honored (shard_partition assigns each cell a cost-balanced
-/// owner), so a run can itself be sharded across machines and merged
-/// with sweep_merge like any other sweep.
+/// A figure bench adds its own grid; sweep_fleet adds several. The cells of
+/// every added grid form a single in-process work-stealing queue, drained by
+/// the run's worker threads and ordered most-expensive-first: retrain cells are
+/// claimed while the cheap evals still cover the other workers, so a
+/// heterogeneous sweep does not strand one worker on a late retrain cell after
+/// everyone else drained the queue. All grids share one SweepContext, so a
+/// dataset baseline is trained (or cache-loaded) once per run no matter how
+/// many grids need it — and every cell is fingerprinted by its owning bench's
+/// identity (bench name, config, and workload), so the store is interchangeable
+/// between fleet and per-bench runs: cells computed by the fleet replay in the
+/// bench, and vice versa. Per-grid shard specs are honored (shard_partition
+/// assigns each cell a cost-balanced owner), so a run can itself be sharded
+/// across machines and merged with sweep_merge like any other sweep.
 class FleetRunner {
  public:
   /// `opts.sweep_parallel` is the worker count across all grids (0 =
@@ -440,14 +392,6 @@ class FleetRunner {
     return worker_stats_;
   }
 
-  /// Replace the built-in work queue with an external one (the fleet
-  /// daemon's socket queue). `queue` must outlive run(); nullptr
-  /// restores the built-in queue. With an external queue the runner
-  /// still triages and replays cached cells itself, but computes only
-  /// the cells the queue hands it — and re-checks the store before each
-  /// when the queue is at_least_once().
-  void set_cell_queue(CellQueue* queue) { cell_queue_ = queue; }
-
   /// Register one grid (throws std::invalid_argument on a bad shard spec
   /// or a missing scenario function). Scenario keys must be unique
   /// within a grid (validated at run(); across grids the bench name
@@ -477,7 +421,6 @@ class FleetRunner {
   std::vector<FleetGrid> grids_;
   std::function<void(const Workload&)> on_baseline_;
   bool prepare_baselines_ = true;
-  CellQueue* cell_queue_ = nullptr;
   std::vector<WorkerStats> worker_stats_;
   double baseline_seconds_ = 0.0;
 };

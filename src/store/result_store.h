@@ -38,9 +38,9 @@ bool store_exists(const std::string& root);
 
 /// RAII "a sweep is still publishing into this store" marker:
 /// construction drops <root>/tmp/inprogress.<pid>, destruction removes
-/// it. The sweep engine (and the fleet daemon) hold one for as long as
-/// owned cells remain uncomputed, so `sweep_merge` can refuse to emit a
-/// partial table from a store a live fleet is mid-publish into. Purely
+/// it. The sweep engine holds one for as long as owned cells remain
+/// uncomputed, so `sweep_merge` can refuse to emit a partial table from
+/// a store a live fleet is mid-publish into. Purely
 /// advisory and best-effort: an unwritable marker never fails the
 /// sweep, and a SIGKILLed run leaves only a dead-pid marker that
 /// live_inprogress_pids() garbage-collects.

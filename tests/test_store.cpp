@@ -1,8 +1,12 @@
 // The content-addressed store's core contracts: correct SHA-256,
 // prefix-free fingerprint framing, atomic/validated record IO that
-// degrades every kind of damage to "miss", and validated store unions.
+// degrades every kind of damage to "miss", validated store unions, the
+// URI-style store spec grammar, and the in-progress markers that keep
+// sweep_merge from emitting tables while a sweep is mid-publish.
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -13,6 +17,7 @@
 #include "store/hash.h"
 #include "store/manifest.h"
 #include "store/result_store.h"
+#include "store/store_api.h"
 
 namespace fs = std::filesystem;
 
@@ -252,6 +257,70 @@ TEST_F(ResultStoreTest, TruncatedManifestIsRejected) {
   EXPECT_EQ(parse_manifest(text), std::nullopt);
   EXPECT_EQ(parse_manifest("not a manifest"), std::nullopt);
   EXPECT_TRUE(parse_manifest(m.to_text()).has_value());
+}
+
+// ------------------------------------------------ store specs
+
+TEST(StoreSpec, ParsesSchemesAndBarePaths) {
+  StoreSpec spec = parse_store_spec("local:/a/b");
+  EXPECT_EQ(spec.scheme, "local");
+  EXPECT_EQ(spec.path, "/a/b");
+  EXPECT_EQ(parse_store_spec("LOCAL:x").scheme, "local");
+  EXPECT_EQ(parse_store_spec("segment:seg_dir").scheme, "segment");
+  spec = parse_store_spec("/abs/path");
+  EXPECT_EQ(spec.scheme, "");
+  EXPECT_EQ(spec.path, "/abs/path");
+  // A separator before any colon means "bare path", not a scheme.
+  spec = parse_store_spec("rel/dir:with_colon");
+  EXPECT_EQ(spec.scheme, "");
+  EXPECT_EQ(spec.path, "rel/dir:with_colon");
+}
+
+TEST(StoreSpec, RejectsUnknownSchemesNamingTheSupportedOnes) {
+  try {
+    parse_store_spec("s3:bucket");
+    FAIL() << "unknown scheme accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("s3"), std::string::npos) << what;
+    EXPECT_NE(what.find("local:"), std::string::npos) << what;
+    EXPECT_NE(what.find("segment:"), std::string::npos) << what;
+  }
+  EXPECT_THROW(parse_store_spec("local:"), std::invalid_argument);
+}
+
+// ------------------------------------------------ in-progress markers
+
+TEST(InProgressGuard, MarksWhilePublishingAndGarbageCollectsDeadPids) {
+  const std::string root =
+      ::testing::TempDir() + "falvolt_inprogress_test";
+  fs::remove_all(root);
+  const std::string marker =
+      root + "/tmp/inprogress." + std::to_string(::getpid());
+  {
+    InProgressGuard guard(root);
+    EXPECT_TRUE(fs::exists(marker));
+    // The caller's own marker is not "another fleet".
+    EXPECT_TRUE(live_inprogress_pids(root).empty());
+  }
+  EXPECT_FALSE(fs::exists(marker));  // released on destruction
+
+  // A marker from a SIGKILLed run (dead pid) is invisible AND unlinked,
+  // so one crash never wedges future merges.
+  const std::string dead = root + "/tmp/inprogress.999999999";
+  std::ofstream(dead) << "999999999\n";
+  EXPECT_TRUE(live_inprogress_pids(root).empty());
+  EXPECT_FALSE(fs::exists(dead));
+
+  // A marker from a LIVE foreign process (pid 1 always exists) is
+  // reported and left alone.
+  const std::string live = root + "/tmp/inprogress.1";
+  std::ofstream(live) << "1\n";
+  const std::vector<int> pids = live_inprogress_pids(root);
+  ASSERT_EQ(pids.size(), 1u);
+  EXPECT_EQ(pids[0], 1);
+  EXPECT_TRUE(fs::exists(live));
+  fs::remove_all(root);
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
 // FleetRunner x LocalDirStore integration: resume/warm-run semantics,
-// deterministic sharding, fingerprint invalidation, and the codec the
-// records travel through. Uses workload-free scenario functions so the
+// deterministic cost-balanced sharding, fingerprint invalidation, and the codec
+// the records travel through. Uses workload-free scenario functions so the
 // store machinery is exercised without training anything.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "core/sweep.h"
 #include "store/compact.h"
@@ -410,6 +412,54 @@ TEST(SweepShard, ParseShardSpec) {
   EXPECT_THROW(parse_shard_spec("0/0"), std::invalid_argument);
   EXPECT_THROW(parse_shard_spec("a/b"), std::invalid_argument);
   EXPECT_THROW(parse_shard_spec("1/2x"), std::invalid_argument);
+}
+
+// ------------------------------------------------ shard_partition
+
+TEST(ShardPartition, EqualCostsDegradeToRoundRobin) {
+  // Equal cost hints carry no balance information; the partition must
+  // fall back to exactly the legacy index-modulo layout so existing
+  // sharded stores keep their cell ownership.
+  const std::vector<double> costs(10, 1.0);
+  const std::vector<int> owners = shard_partition(costs, 3);
+  ASSERT_EQ(owners.size(), costs.size());
+  for (std::size_t i = 0; i < owners.size(); ++i) {
+    EXPECT_EQ(owners[i], static_cast<int>(i % 3)) << "cell " << i;
+  }
+}
+
+TEST(ShardPartition, BalancesSkewedCostsBetterThanModulo) {
+  // Heavy cells at even indices: index-modulo with two shards piles
+  // every heavy cell onto shard 0 (600 vs 6); greedy LPT alternates
+  // them and lands on the 303/303 optimum.
+  std::vector<double> costs;
+  for (int i = 0; i < 12; ++i) costs.push_back(i % 2 == 0 ? 100.0 : 1.0);
+  const std::vector<int> owners = shard_partition(costs, 2);
+  double lpt[2] = {0.0, 0.0};
+  double modulo[2] = {0.0, 0.0};
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    ASSERT_GE(owners[i], 0);
+    ASSERT_LT(owners[i], 2);
+    lpt[owners[i]] += costs[i];
+    modulo[i % 2] += costs[i];
+  }
+  const double lpt_max = std::max(lpt[0], lpt[1]);
+  EXPECT_LT(lpt_max, std::max(modulo[0], modulo[1]));
+  EXPECT_DOUBLE_EQ(lpt_max, 303.0);  // the optimum: total / 2
+}
+
+TEST(ShardPartition, DeterministicCompleteAndValidated) {
+  const std::vector<double> costs = {7.0, 7.0, 1.0, 12.0, 0.5,
+                                     3.0, 12.0, 1.0, 9.0};
+  const std::vector<int> a = shard_partition(costs, 4);
+  const std::vector<int> b = shard_partition(costs, 4);
+  EXPECT_EQ(a, b);  // independently launched shards must agree
+  for (const int owner : a) {
+    EXPECT_GE(owner, 0);
+    EXPECT_LT(owner, 4);
+  }
+  EXPECT_EQ(shard_partition(costs, 1), std::vector<int>(9, 0));
+  EXPECT_THROW(shard_partition(costs, 0), std::invalid_argument);
 }
 
 }  // namespace
