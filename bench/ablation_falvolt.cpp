@@ -1,118 +1,11 @@
-// Ablations of FalVolt's design choices (DESIGN.md §5): threshold
-// granularity (A1), pruned-weight re-zero cadence (A2), surrogate
-// gradient kind (A3), and accumulator width (A4).
+// Ablations of FalVolt's design choices (threshold granularity, re-zero
+// cadence, surrogate gradient, accumulator width).
 //
-// The grid, the arms, and the custom-retrain loop live in
-// bench/grids/ablation_grid.cpp (registered into core::GridRegistry, so
-// the sweep_fleet driver runs exactly the same cells); this main adds
-// the four ablation tables and the legacy CSV grouping.
+// The grid, its scenario function and the figure report live in
+// bench/grids/ablation_grid.cpp; bench::run_figure does the rest.
 
-#include "bench_common.h"
-#include "core/grid_registry.h"
 #include "grids/grids.h"
 
-namespace fb = falvolt::bench;
-using namespace falvolt;
-
 int main(int argc, char** argv) {
-  fb::register_all_grids();
-  const core::GridDef& def =
-      core::GridRegistry::instance().get("ablation_falvolt");
-  common::CliFlags cli(def.name);
-  fb::add_common_flags(cli);
-  def.add_flags(cli);
-  if (!cli.parse(argc, argv)) return 0;
-  fb::ExecScope obs(cli);
-
-  fb::banner("Ablations", def.title);
-
-  const std::vector<core::Scenario> scenarios = def.scenarios(cli);
-
-  const core::SweepStoreOptions store =
-      fb::store_options(cli, def.name, def.aggregation_only);
-  if (fb::list_scenarios(cli, store, scenarios)) return 0;
-
-  // Outputs open before the sweep so an unwritable CWD fails fast.
-  io::CsvWriter csv(fb::csv_path(cli, def.name),
-                    {"ablation", "arm", "accuracy"});
-  fb::probe_sweep_json(cli, def.name);
-
-  core::FleetRunner runner(fb::workload_options(cli));
-  runner.set_on_baseline(fb::print_baseline);
-  runner.add_grid({store, scenarios, def.scenario_fn(cli, runner.context())});
-  const core::ResultTable results = std::move(runner.run().front());
-
-  if (!fb::sweep_complete(results)) {
-    csv.close();
-    fb::emit_sweep_summary(cli, def.name, results);
-    return 0;
-  }
-
-  const auto acc_of = [&](const char* key) {
-    return results.get(key).metrics.front().second;
-  };
-
-  // CSV rows keep the legacy grouping (A1, A2, A3, A4) rather than
-  // scenario order; the A2 "every_epoch" row aliases the bit-identical
-  // A1 per-layer result (see the arms table in ablation_grid.cpp).
-  for (const char* arm : {"per_layer", "global", "frozen"}) {
-    csv.row({"vth_granularity", arm,
-             io::CsvWriter::format(
-                 acc_of((std::string("vth_granularity/") + arm).c_str()))});
-  }
-  csv.row({"rezero", "every_epoch",
-           io::CsvWriter::format(acc_of("vth_granularity/per_layer"))});
-  csv.row({"rezero", "end_only",
-           io::CsvWriter::format(acc_of("rezero/end_only"))});
-  for (const char* arm : {"triangle", "sigmoid", "rectangle"}) {
-    csv.row(results.get(std::string("surrogate/") + arm).csv_rows.front());
-  }
-  for (const char* arm : {"q8_8", "q16_16"}) {
-    csv.row(results.get(std::string("accumulator_width/") + arm)
-                .csv_rows.front());
-  }
-
-  common::TextTable a1({"vth granularity", "accuracy"});
-  a1.row_labeled("per-layer (FalVolt)", {acc_of("vth_granularity/per_layer")},
-                 1);
-  a1.row_labeled("global (tied)", {acc_of("vth_granularity/global")}, 1);
-  a1.row_labeled("frozen @1.0 (FaPIT)", {acc_of("vth_granularity/frozen")},
-                 1);
-  std::printf("\nA1 — threshold-voltage granularity:\n");
-  a1.print();
-
-  common::TextTable a2({"re-zero cadence", "accuracy"});
-  a2.row_labeled("every epoch (Alg.1 L13)",
-                 {acc_of("vth_granularity/per_layer")}, 1);
-  a2.row_labeled("end of training only", {acc_of("rezero/end_only")}, 1);
-  std::printf("\nA2 — pruned-weight re-zero cadence:\n");
-  a2.print();
-
-  common::TextTable a3({"surrogate", "accuracy"});
-  for (const char* arm : {"triangle", "sigmoid", "rectangle"}) {
-    const core::ScenarioResult& r =
-        results.get(std::string("surrogate/") + arm);
-    a3.row_labeled(r.csv_rows.front()[1], {r.metrics.front().second}, 1);
-  }
-  std::printf("\nA3 — surrogate gradient during retraining:\n");
-  a3.print();
-
-  common::TextTable a4({"accumulator", "clean acc", "8 faulty PEs (MSB sa1)"});
-  for (const char* arm : {"q8_8", "q16_16"}) {
-    const core::ScenarioResult& r =
-        results.get(std::string("accumulator_width/") + arm);
-    a4.row_labeled(r.csv_rows.front()[1],
-                   {r.metrics[0].second, r.metrics[1].second}, 1);
-  }
-  std::printf("\nA4 — accumulator width (quantization + MSB sa1 collapse):\n");
-  a4.print();
-
-  csv.close();
-  fb::emit_sweep_summary(cli, def.name, results);
-  std::printf("\nTakeaways: per-layer V_th >= global >= frozen; epoch-wise "
-              "re-zeroing matters because the optimizer keeps regrowing "
-              "bypassed weights; the triangle surrogate (paper Eq. 2) is "
-              "competitive; MSB faults collapse accuracy at either word "
-              "width.\n");
-  return 0;
+  return falvolt::bench::run_figure(argc, argv, "ablation_falvolt");
 }

@@ -1,7 +1,8 @@
 #pragma once
-// Shared plumbing for the figure-reproduction benches: workload loading
-// (with on-disk baseline caching), scenario-sweep orchestration, result
-// tables, and CSV/JSON output.
+// Shared plumbing for the bench grids (bench/grids/) and the drivers that
+// sweep them: the common and execution-only flags, store and workload
+// options, lazily built eval subsets, and the small CSV/log helpers the
+// grids' scenario functions and reports share.
 
 #include <algorithm>
 #include <cstdarg>
@@ -128,7 +129,8 @@ inline void add_common_flags(common::CliFlags& cli) {
                  "(all = the bench's paper grid)");
   cli.add_string("sweep-json", "",
                  "machine-readable sweep summary path ('' = "
-                 "<bench>_sweep.json, none = disabled)");
+                 "<bench>_sweep.json, or <bench>.shard<i>of<n>_sweep.json "
+                 "for a --shard run; none = disabled)");
   cli.add_string("store", "",
                  "content-addressed scenario result store spec: "
                  "local:<dir>, segment:<dir> (read-only compacted "
@@ -340,7 +342,7 @@ inline core::WorkloadOptions workload_options(const common::CliFlags& cli) {
 }
 
 /// Print one grid's --list-scenarios rows (the row format shared by the
-/// bench dry run and sweep_fleet's cross-bench listing). Cells are
+/// figure driver's dry run and sweep_fleet's cross-bench listing). Cells are
 /// fingerprinted by core::fingerprint_cell under `opts`, exactly as the
 /// run would address them; `rs` is null when the store does not
 /// exist yet (every cell then lists as MISS, or "-" with no store at
@@ -375,45 +377,6 @@ inline std::size_t list_scenario_rows(
                 status, fp.substr(0, 16).c_str(), key.c_str());
   }
   return start_index + scenarios.size();
-}
-
-/// Handle --list-scenarios: print the grid with fingerprints, owning
-/// shards, and store status (for shard planning), then tell the caller
-/// to exit. A pure dry run: computes nothing, writes no outputs, and —
-/// unlike an actual sweep — does not even create the store directories
-/// (a store that does not exist yet simply lists every cell as MISS).
-inline bool list_scenarios(const common::CliFlags& cli,
-                           const core::SweepStoreOptions& st,
-                           const std::vector<core::Scenario>& scenarios) {
-  if (!cli.get_bool("list-scenarios")) return false;
-  std::unique_ptr<falvolt::store::StoreApi> rs;
-  if (!st.dir.empty() && falvolt::store::store_spec_exists(st.dir)) {
-    rs = falvolt::store::open_store(st.dir, st.substituters,
-                                    /*create=*/false);
-  }
-  std::printf("# %zu scenario(s), shard %d/%d%s%s\n", scenarios.size(),
-              st.shard_index, st.shard_count,
-              st.dir.empty() ? "" : ", store ", st.dir.c_str());
-  std::printf("%-5s %-6s %-6s %-16s %s\n", "idx", "shard", "store",
-              "fingerprint", "key");
-  list_scenario_rows(st, workload_options(cli), scenarios, rs.get());
-  return true;
-}
-
-/// True when the table covers the full grid; otherwise print the shard
-/// hand-off notice (the caller skips its figure aggregation — only
-/// sweep_merge, or a warm re-run against the merged store, can emit the
-/// complete table).
-inline bool sweep_complete(const core::ResultTable& results) {
-  if (results.complete()) return true;
-  std::printf(
-      "\n[sweep] shard %d/%d: %zu cell(s) computed, %zu replayed, %zu "
-      "left to other shards — figure tables are emitted by sweep_merge "
-      "(or a re-run against the merged store), not by a partial shard.\n",
-      results.shard_index(), results.shard_count(),
-      results.computed_cells(), results.cached_cells(),
-      results.absent_cells());
-  return false;
 }
 
 /// Shared, read-only per-dataset eval subsets, built lazily on first use
@@ -542,71 +505,14 @@ inline void logf(std::string& log, const char* fmt, ...) {
   log += buf;
 }
 
-/// "" for a whole-grid run, ".shard<i>of<n>" for a shard — shard runs
-/// produce partial outputs and must never truncate a complete table a
-/// previous full run left in the CWD.
-inline std::string shard_suffix(const common::CliFlags& cli) {
-  const auto [index, count] = core::parse_shard_spec(cli.get_string("shard"));
-  if (count <= 1) return "";
-  return ".shard" + std::to_string(index) + "of" + std::to_string(count);
-}
-
-/// CSV file next to the executable's working directory.
-inline std::string csv_path(const common::CliFlags& cli,
-                            const std::string& bench_name) {
-  return bench_name + shard_suffix(cli) + ".csv";
-}
-
-/// Resolved --sweep-json path; empty string disables the summary. The
-/// default path is shard-suffixed like the CSV; an explicit --sweep-json
-/// is the user's choice and used verbatim.
-inline std::string sweep_json_path(const common::CliFlags& cli,
-                                   const std::string& bench_name) {
-  const std::string& p = cli.get_string("sweep-json");
-  if (p == "none") return "";
-  return p.empty() ? bench_name + shard_suffix(cli) + "_sweep.json" : p;
-}
-
-/// Validate that the sweep JSON summary path is writable. Call BEFORE
-/// the sweep runs: an unwritable CWD must fail before hours of compute,
-/// not after (the benches likewise construct their CsvWriter up front
-/// for the same reason).
-inline void probe_sweep_json(const common::CliFlags& cli,
-                             const std::string& bench_name) {
-  const std::string path = sweep_json_path(cli, bench_name);
-  if (path.empty()) return;
-  // Probes the directory: a run that dies mid-sweep leaves no file at
-  // the summary path (and a previous summary intact).
-  if (!io::can_publish(path)) {
-    throw std::runtime_error("cannot write sweep summary path " + path);
-  }
-}
-
-/// Write the sweep JSON summary (if enabled) and print where it went.
-inline void emit_sweep_summary(const common::CliFlags& cli,
-                               const std::string& bench_name,
-                               const core::ResultTable& results) {
-  const std::string path = sweep_json_path(cli, bench_name);
-  if (path.empty()) return;
-  results.write_json(path, bench_name);
-  std::printf("[sweep] %zu scenarios in %.1f s at sweep-parallel=%d — "
-              "JSON summary written to %s\n",
-              results.size(), results.total_seconds(),
-              results.sweep_parallel(), path.c_str());
-}
-
 /// Append the per-scenario CSV rows to an already-open writer, in
-/// scenario order (byte-identical at any sweep parallelism).
+/// scenario order (byte-identical at any sweep parallelism) — the figure
+/// CSV of every grid whose cells emit their own rows.
 inline void write_scenario_rows(io::CsvWriter& csv,
                                 const core::ResultTable& results) {
   for (const core::ScenarioResult& r : results.rows()) {
     for (const auto& row : r.csv_rows) csv.row(row);
   }
-}
-
-/// Banner printed by every bench so logs are self-describing.
-inline void banner(const std::string& name, const std::string& what) {
-  std::printf("=== %s ===\n%s\n\n", name.c_str(), what.c_str());
 }
 
 inline void print_baseline(const core::Workload& w) {

@@ -11,7 +11,6 @@
 // through every chip — each cell derives its defect population from its
 // own seed, so cells are order-independent and content-addressable.
 
-
 #include "bench_common.h"
 #include "core/grid_registry.h"
 #include "fault/post_fab_test.h"
@@ -19,7 +18,11 @@
 
 namespace falvolt::bench::chip_salvage {
 
+namespace {
+
 std::string cell_key(int chip) { return "chip=" + std::to_string(chip); }
+
+}  // namespace
 
 /// Deterministic defect count of one chip: ~30% of dies are clean, the
 /// rest carry 1..(defect_rate * total_pes) random stuck-bit defects.

@@ -1,15 +1,23 @@
-// Fig. 5a grid — accuracy vs stuck-at fault bit location (sa0/sa1,
-// unmitigated inference). Grid + scenario function, shared between the
-// fig5a_bit_position main and the sweep_fleet driver.
+// Fig. 5a — classification accuracy vs stuck-at fault bit location.
+//
+// Reproduces: stuck-at-0 and stuck-at-1 faults injected at each output
+// bit position of the PE accumulators of an (default) 256x256
+// systolicSNN, 8 faulty PEs, unmitigated inference, for MNIST / N-MNIST /
+// DVS-Gesture. The paper's finding: MSB faults (especially stuck-at-1 in
+// the sign bit) collapse accuracy, LSB faults are nearly harmless.
+//
+// Grid, scenario function and figure report, run by the
+// fig5a_bit_position binary and the sweep_fleet driver alike.
 
 #include <memory>
 
 #include "bench_common.h"
 #include "core/grid_registry.h"
 #include "core/mitigation.h"
-#include "grids/grids.h"
 
 namespace falvolt::bench::fig5a {
+
+namespace {
 
 const std::vector<fx::StuckType>& types() {
   static const std::vector<fx::StuckType> kTypes = {
@@ -45,6 +53,43 @@ std::string cell_key(core::DatasetKind kind, fx::StuckType type, int bit,
   return std::string(core::dataset_name(kind)) + "/" + type_name(type) +
          "/bit=" + std::to_string(bit) + "/rep=" + std::to_string(rep);
 }
+
+void report(const common::CliFlags& cli, const core::ResultTable& results,
+            io::CsvWriter& csv) {
+  if (!results.complete()) return;
+  const systolic::ArrayConfig array = experiment_array(cli);
+  const std::vector<int> bit_axis = bits(array.format.total_bits());
+  const int reps = repeats(cli);
+  std::vector<std::string> header = {"series"};
+  for (const int b : bit_axis) header.push_back("bit" + std::to_string(b));
+  common::TextTable table(header);
+
+  for (const auto kind : kinds(cli)) {
+    for (const auto type : types()) {
+      std::vector<double> row;
+      for (const int bit : bit_axis) {
+        common::RunningStats acc;
+        for (int rep = 0; rep < reps; ++rep) {
+          acc.add(results.get(cell_key(kind, type, bit, rep))
+                      .metrics.front()
+                      .second);
+        }
+        row.push_back(acc.mean());
+        csv.row({std::string(core::dataset_name(kind)), type_name(type),
+                 std::to_string(bit), io::CsvWriter::format(acc.mean())});
+      }
+      table.row_labeled(std::string(type_name(type)) + "-" +
+                            core::dataset_name(kind),
+                        row, 1);
+    }
+  }
+  std::printf("\nAccuracy [%%] vs accumulator fault bit (%lld faulty PEs, "
+              "%s array):\n",
+              cli.get_int("faulty-pes"), array.to_string().c_str());
+  table.print();
+}
+
+}  // namespace
 
 void register_grid() {
   core::GridDef def;
@@ -110,6 +155,12 @@ void register_grid() {
       return out;
     };
   };
+  def.label = "Fig. 5a";
+  def.csv_columns = {"dataset", "type", "bit", "accuracy"};
+  def.report = report;
+  def.note =
+      "\nExpected shape (paper): accuracy near baseline at LSBs, collapse "
+      "at MSBs; sa1 worse than sa0.\n";
   core::GridRegistry::instance().add(std::move(def));
 }
 

@@ -1,13 +1,18 @@
-// Fig. 5c grid — accuracy vs systolic array size at a fixed number of
-// faulty PEs (MSB sa1, unmitigated). Grid + scenario function, shared
-// between the fig5c_array_size main and the sweep_fleet driver.
+// Fig. 5c — classification accuracy vs systolic array size.
+//
+// Reproduces: 4 faulty PEs (MSB sa1) in arrays of 4x4 .. 256x256. Smaller
+// arrays fold more weights onto each PE (higher reuse), so the same
+// absolute number of faults does far more damage — the paper's
+// array-reuse argument.
+//
+// Grid, scenario function and figure report, run by the
+// fig5c_array_size binary and the sweep_fleet driver alike.
 
 #include <memory>
 
 #include "bench_common.h"
 #include "core/grid_registry.h"
 #include "core/mitigation.h"
-#include "grids/grids.h"
 #include "systolic/cost_model.h"
 
 namespace falvolt::bench::fig5c {
@@ -31,8 +36,6 @@ double eval_cost(int n) {
   return latency(n) / kReference;
 }
 
-}  // namespace
-
 const std::vector<int>& sizes() {
   static const std::vector<int> kSizes = {4, 8, 16, 32, 64, 256};
   return kSizes;
@@ -54,6 +57,39 @@ std::string cell_key(core::DatasetKind kind, int array_size, int rep) {
   return std::string(core::dataset_name(kind)) + "/array=" +
          std::to_string(array_size) + "/rep=" + std::to_string(rep);
 }
+
+void report(const common::CliFlags& cli, const core::ResultTable& results,
+            io::CsvWriter& csv) {
+  if (!results.complete()) return;
+  const int reps = repeats(cli);
+  std::vector<std::string> header = {"dataset"};
+  for (const int s : sizes()) {
+    header.push_back(std::to_string(s * s));  // paper plots total PEs
+  }
+  common::TextTable table(header);
+
+  for (const auto kind : kinds(cli)) {
+    std::vector<double> row;
+    for (const int n : sizes()) {
+      common::RunningStats acc;
+      for (int rep = 0; rep < reps; ++rep) {
+        acc.add(results.get(cell_key(kind, n, rep)).metrics.front().second);
+      }
+      row.push_back(acc.mean());
+      csv.row({std::string(core::dataset_name(kind)),
+               std::to_string(n) + "x" + std::to_string(n),
+               std::to_string(n * n), io::CsvWriter::format(acc.mean()),
+               io::CsvWriter::format(acc.stddev())});
+    }
+    table.row_labeled(core::dataset_name(kind), row, 1);
+  }
+  std::printf("\nAccuracy [%%] vs total number of PEs (%lld faulty PEs, "
+              "avg over %d maps):\n",
+              cli.get_int("faulty-pes"), reps);
+  table.print();
+}
+
+}  // namespace
 
 void register_grid() {
   core::GridDef def;
@@ -109,6 +145,12 @@ void register_grid() {
       return out;
     };
   };
+  def.label = "Fig. 5c";
+  def.csv_columns = {"dataset", "array", "total_pes", "accuracy", "stddev"};
+  def.report = report;
+  def.note =
+      "\nExpected shape (paper): small arrays suffer far more from the "
+      "same absolute fault count (array reuse).\n";
   core::GridRegistry::instance().add(std::move(def));
 }
 

@@ -1,12 +1,18 @@
-// Fig. 6 grid — optimized per-layer threshold voltages returned by
-// FalVolt at 10% / 30% / 60% faulty PEs. Grid + scenario function,
-// shared between the fig6_vth_layers main and the sweep_fleet driver.
+// Fig. 6 — optimized per-layer threshold voltages returned by FalVolt.
+//
+// Reproduces: FalVolt run at 10% / 30% / 60% faulty PEs (MSB sa1, 256x256
+// array) for all three datasets; reports the learned V_th of every hidden
+// convolutional and fully connected spiking layer.
+//
+// Grid, scenario function and figure report, run by the fig6_vth_layers
+// binary and the sweep_fleet driver alike.
 
 #include "bench_common.h"
 #include "core/grid_registry.h"
-#include "grids/grids.h"
 
 namespace falvolt::bench::fig6 {
+
+namespace {
 
 const std::vector<double>& rates() {
   static const std::vector<double> kRates = {0.10, 0.30, 0.60};
@@ -27,6 +33,38 @@ std::string cell_key(core::DatasetKind kind, double rate) {
   return std::string(core::dataset_name(kind)) + "/rate=" +
          common::TextTable::format(rate * 100, 0);
 }
+
+// One table per dataset: rows = fault rates, cols = hidden layers (names
+// recovered from the "vth:<layer>" metric labels).
+void report(const common::CliFlags& cli, const core::ResultTable& results,
+            io::CsvWriter& csv) {
+  write_scenario_rows(csv, results);
+  if (!results.complete()) return;
+  for (const auto kind : kinds(cli)) {
+    std::vector<std::string> header = {"faulty"};
+    const auto& first_metrics =
+        results.get(cell_key(kind, rates().front())).metrics;
+    for (std::size_t m = 1; m < first_metrics.size(); ++m) {
+      header.push_back(first_metrics[m].first.substr(4));
+    }
+    common::TextTable table(header);
+    for (const double rate : rates()) {
+      const core::ScenarioResult& r = results.get(cell_key(kind, rate));
+      std::vector<double> row;
+      for (std::size_t m = 1; m < r.metrics.size(); ++m) {
+        row.push_back(r.metrics[m].second);
+      }
+      table.row_labeled(common::TextTable::format(rate * 100, 0) + "%", row,
+                        3);
+    }
+    std::printf("\nOptimized V_th per hidden layer — %s:\n",
+                core::dataset_name(kind));
+    table.print();
+    std::printf("\n");
+  }
+}
+
+}  // namespace
 
 void register_grid() {
   core::GridDef def;
@@ -89,6 +127,14 @@ void register_grid() {
       return out;
     };
   };
+  def.label = "Fig. 6";
+  def.csv_columns = {"dataset", "fault_rate_percent", "layer", "vth",
+                     "final_accuracy"};
+  def.report = report;
+  def.note =
+      "Expected shape (paper): early conv / first FC layers keep higher "
+      "thresholds than later layers so redundant spikes do not reach the "
+      "output.\n";
   core::GridRegistry::instance().add(std::move(def));
 }
 

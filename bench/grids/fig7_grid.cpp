@@ -1,12 +1,20 @@
-// Fig. 7 grid — mitigation comparison (FaP vs FaPIT vs FalVolt) at
-// 10% / 30% / 60% faulty PEs. Grid + scenario function, shared between
-// the fig7_mitigation main and the sweep_fleet driver.
+// Fig. 7 — mitigation comparison: FaP vs FaPIT vs FalVolt.
+//
+// Reproduces: accuracy after each mitigation at 10% / 30% / 60% faulty
+// PEs (MSB sa1, 256x256 array) on MNIST, N-MNIST and DVS-Gesture. The
+// paper's claim: FaP collapses as the rate grows, FaPIT recovers
+// partially, and only FalVolt stays at (near-)baseline accuracy up to
+// 60% faults.
+//
+// Grid, scenario function and figure report, run by the fig7_mitigation
+// binary and the sweep_fleet driver alike.
 
 #include "bench_common.h"
 #include "core/grid_registry.h"
-#include "grids/grids.h"
 
 namespace falvolt::bench::fig7 {
+
+namespace {
 
 const std::vector<double>& rates() {
   static const std::vector<double> kRates = {0.10, 0.30, 0.60};
@@ -34,6 +42,43 @@ std::string cell_key(core::DatasetKind kind, double rate,
   return std::string(core::dataset_name(kind)) + "/rate=" +
          common::TextTable::format(rate * 100, 0) + "/" + method;
 }
+
+void report(const common::CliFlags& cli, const core::ResultTable& results,
+            io::CsvWriter& csv) {
+  write_scenario_rows(csv, results);
+  if (!results.complete()) return;
+  const auto acc_of = [&](core::DatasetKind kind, double rate,
+                          const char* method) {
+    return results.get(cell_key(kind, rate, method)).metrics.front().second;
+  };
+  for (const auto kind : kinds(cli)) {
+    // Baseline accuracy comes from the cells' own "baseline" metric, not
+    // the sweep context: on a warm-store re-run no workload was ever
+    // prepared, yet the replayed cells still carry it.
+    const double baseline =
+        results.get(cell_key(kind, rates().front(), "FaP"))
+            .metrics.back()
+            .second;
+    common::TextTable table({"faulty", "FaP", "FaPIT", "FalVolt"});
+    for (const double rate : rates()) {
+      const double fap = acc_of(kind, rate, "FaP");
+      const double fapit = acc_of(kind, rate, "FaPIT");
+      const double falvolt = acc_of(kind, rate, "FalVolt");
+      table.row_labeled(common::TextTable::format(rate * 100, 0) + "%",
+                        {fap, fapit, falvolt}, 1);
+      std::printf("  %-15s rate=%2.0f%%  FaP %.1f | FaPIT %.1f | FalVolt "
+                  "%.1f (baseline %.1f)\n",
+                  core::dataset_name(kind), rate * 100, fap, fapit, falvolt,
+                  baseline);
+    }
+    std::printf("\nAccuracy [%%] — %s (baseline %.1f%%):\n",
+                core::dataset_name(kind), baseline);
+    table.print();
+    std::printf("\n");
+  }
+}
+
+}  // namespace
 
 void register_grid() {
   core::GridDef def;
@@ -103,6 +148,14 @@ void register_grid() {
       return out;
     };
   };
+  def.label = "Fig. 7";
+  def.csv_columns = {"dataset", "fault_rate_percent", "method",
+                     "best_accuracy", "baseline"};
+  def.report = report;
+  def.note =
+      "Reported values are best checkpoints over the retraining run.\n"
+      "Expected shape (paper): FaP degrades rapidly with rate; FaPIT "
+      "recovers partially; FalVolt reaches (near-)baseline even at 60%.\n";
   core::GridRegistry::instance().add(std::move(def));
 }
 

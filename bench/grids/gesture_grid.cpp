@@ -11,9 +11,10 @@
 
 #include "bench_common.h"
 #include "core/grid_registry.h"
-#include "grids/grids.h"
 
 namespace falvolt::bench::gesture {
+
+namespace {
 
 const std::vector<double>& rates() {
   static const std::vector<double> kRates = {0.10, 0.20, 0.30};
@@ -29,6 +30,8 @@ const std::vector<std::string>& methods() {
 std::string cell_key(double rate, const std::string& method) {
   return "rate=" + common::TextTable::format(rate * 100, 0) + "/" + method;
 }
+
+}  // namespace
 
 void register_grid() {
   core::GridDef def;

@@ -12,10 +12,11 @@
 // Because fingerprints are shared, the store is interchangeable with
 // per-bench runs: after a fleet run, `fig5b_fault_count --store <dir>`
 // replays every cell (cells_computed: 0) and emits its figure tables
-// byte-identical to a standalone run — the fleet computes values, the
-// benches own their presentation. Per-grid shard specs compose
-// (--shard i/n partitions every grid), so fleets can span machines and
-// be unioned with sweep_merge like any other sweep. Within one
+// byte-identical to a standalone run — the fleet computes values; each
+// figure's presentation is its grid's report (bench/grids/), which the
+// figure binary runs through bench::run_figure. Per-grid shard specs
+// compose (--shard i/n partitions every grid), so fleets can span
+// machines and be unioned with sweep_merge like any other sweep. Within one
 // invocation every cell runs in this process: the N workers are threads
 // of one core::FleetRunner.
 //
@@ -310,7 +311,7 @@ int main(int argc, char** argv) try {
 
   // Probe the summary's directory BEFORE the sweep: an unwritable --json
   // must fail now, not after hours of retraining (same fail-fast contract
-  // as the bench mains' CSV writers). Nothing is created at the path, so
+  // as the figure driver's CSV writer). Nothing is created at the path, so
   // a run that dies mid-sweep leaves any previous summary intact and no
   // new file.
   if (!cli.get_string("json").empty()) {

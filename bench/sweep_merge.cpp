@@ -33,9 +33,10 @@
 //      fields (per-cell seconds, the "run" line) reflect the shard runs
 //      that actually computed the cells.
 //
-// The bench's own figure CSV/stdout tables can afterwards be produced
-// with zero recomputation by re-running the bench against the merged
-// store (all cells hit) — compacted or not.
+// The figure's own CSV and stdout tables — its grid's report, run by
+// the figure binary through bench::run_figure — can afterwards be
+// produced with zero recomputation by re-running the figure binary
+// against the merged store (all cells hit) — compacted or not.
 
 #include <cstdio>
 #include <string>

@@ -17,6 +17,13 @@ void GridRegistry::add(GridDef def) {
     throw std::logic_error("GridRegistry: grid '" + def.name +
                            "' is missing a callback");
   }
+  const int presentation = !def.label.empty() + !def.csv_columns.empty() +
+                           static_cast<bool>(def.report) + !def.note.empty();
+  if (presentation != 0 && presentation != 4) {
+    throw std::logic_error("GridRegistry: grid '" + def.name +
+                           "' needs all of label, csv_columns, report and "
+                           "note, or none");
+  }
   if (find(def.name)) {
     throw std::logic_error("GridRegistry: duplicate grid '" + def.name + "'");
   }

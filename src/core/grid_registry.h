@@ -1,16 +1,15 @@
 #pragma once
 // Registry of the figure benches' scenario grids.
 //
-// Historically every figure binary materialized its grid inside main(),
-// which made the grids unreachable from anything but that binary. A
-// GridDef instead captures the three things a driver needs to run a
-// bench's sweep without its main(): the bench's flag schema, its grid
-// construction, and its scenario function. The bench mains register
-// their own GridDef (bench/grids/) and then consume it, so a figure run
-// standalone and the same figure run by the sweep_fleet driver execute
-// literally the same grid-building and cell-computing code — which is
-// what makes their store fingerprints (and therefore their tables)
-// interchangeable.
+// A GridDef captures what a driver needs to run a bench's sweep: the
+// bench's flag schema, its grid construction, and its scenario function
+// — plus, for the figure grids, the figure's presentation (banner label,
+// CSV columns, report, closing note). Every grid is defined and
+// registered in bench/grids/; the figure binaries run their one grid
+// through bench::run_figure and sweep_fleet runs many, so a figure run
+// standalone and the same figure run by the fleet execute literally the
+// same grid-building and cell-computing code — which is what makes their
+// store fingerprints (and therefore their tables) interchangeable.
 
 #include <functional>
 #include <set>
@@ -19,6 +18,7 @@
 
 #include "common/cli.h"
 #include "core/sweep.h"
+#include "io/csv.h"
 
 namespace falvolt::core {
 
@@ -56,16 +56,31 @@ struct GridDef {
   /// the CliFlags it was built from may be gone by the time it runs.
   std::function<ScenarioFn(const common::CliFlags&, const SweepContext&)>
       scenario_fn;
+
+  // The figure presentation: all four set for a grid with a figure
+  // binary, all four empty for a fleet-only grid.
+  /// Banner label, e.g. "Fig. 5b".
+  std::string label;
+  /// Header of the figure CSV.
+  std::vector<std::string> csv_columns;
+  /// Writes the figure's CSV rows and prints its tables. Called on every
+  /// table the sweep returns — a shard's partial table too, where it may
+  /// write rows but prints tables only when `results.complete()`.
+  std::function<void(const common::CliFlags&, const ResultTable&,
+                     io::CsvWriter&)>
+      report;
+  /// Closing "Expected shape" note, printed verbatim after the report.
+  std::string note;
 };
 
-/// Process-global name -> GridDef map. Benches register at startup
+/// Process-global name -> GridDef map. Grids register at startup
 /// (bench::register_all_grids()); drivers enumerate or look up by name.
 class GridRegistry {
  public:
   static GridRegistry& instance();
 
-  /// Registers a grid. Throws std::logic_error on a duplicate name or a
-  /// def with any callback missing.
+  /// Registers a grid. Throws std::logic_error on a duplicate name, a
+  /// def with any grid callback missing, or a half-filled presentation.
   void add(GridDef def);
 
   /// nullptr when `name` is not registered.

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "bench_common.h"
@@ -16,6 +19,7 @@
 #include "data/synthetic_mnist.h"
 #include "data/synthetic_nmnist.h"
 #include "grids/grids.h"
+#include "io/csv.h"
 #include "obs/metrics.h"
 #include "store/fingerprint.h"
 #include "store/result_store.h"
@@ -54,6 +58,12 @@ SweepStoreOptions store_opts(const std::string& dir,
   st.config = {{"epochs", "4"}};
   return st;
 }
+
+// The grids a figure binary runs through bench::run_figure.
+const std::vector<std::string> kFigureGrids = {
+    "fig2_vth_sweep",  "fig5a_bit_position", "fig5b_fault_count",
+    "fig5c_array_size", "fig6_vth_layers",   "fig7_mitigation",
+    "fig8_convergence", "ablation_falvolt"};
 
 ScenarioFn counting_fn(std::atomic<int>& computed) {
   return [&computed](const Scenario& s, const SweepContext&) {
@@ -474,6 +484,15 @@ TEST(GridRegistry, AllGridsRegisterAndBuild) {
     EXPECT_TRUE(
         static_cast<bool>(def.scenario_fn(cli, probe.context())))
         << name;
+
+    // The figure grids carry their whole presentation; the
+    // example-derived grids, which no figure binary shows, carry none.
+    const bool figure = std::find(kFigureGrids.begin(), kFigureGrids.end(),
+                                  name) != kFigureGrids.end();
+    EXPECT_EQ(!def.label.empty(), figure) << name;
+    EXPECT_EQ(!def.csv_columns.empty(), figure) << name;
+    EXPECT_EQ(static_cast<bool>(def.report), figure) << name;
+    EXPECT_EQ(!def.note.empty(), figure) << name;
   }
 
   // Spot-check the cost tagging the scheduler depends on: fig5c's
@@ -537,24 +556,155 @@ TEST(GridRegistry, LookupAndValidation) {
   GridDef incomplete;
   incomplete.name = "incomplete";
   EXPECT_THROW(reg.add(std::move(incomplete)), std::logic_error);
+
+  // A figure presentation is all or nothing: a label without a report
+  // would give run_figure a banner and no table.
+  GridDef half_figure;
+  half_figure.name = "half_figure";
+  half_figure.add_flags = [](common::CliFlags&) {};
+  half_figure.scenarios = [](const common::CliFlags&) {
+    return std::vector<Scenario>{};
+  };
+  half_figure.scenario_fn = [](const common::CliFlags&, const SweepContext&) {
+    return ScenarioFn{};
+  };
+  half_figure.label = "Fig. X";
+  half_figure.csv_columns = {"x"};
+  EXPECT_THROW(reg.add(std::move(half_figure)), std::logic_error);
+  EXPECT_EQ(reg.find("half_figure"), nullptr);
 }
 
-// The bench mains' sweep-summary probe tests the directory: it creates
-// nothing at the summary path, so a run that dies before publishing
-// leaves no file there.
-TEST(BenchProbes, SweepJsonProbeCreatesNoFile) {
-  const std::string dir = ::testing::TempDir() + "falvolt_probe_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  common::CliFlags cli("probe");
-  cli.add_string("sweep-json", dir + "/summary.json", "summary path");
-  bench::probe_sweep_json(cli, "probe");
-  EXPECT_TRUE(std::filesystem::is_empty(dir));
+// One figure grid's flags, shrunk to a seconds-long MNIST sweep into
+// `store` (optionally one shard of it).
+common::CliFlags small_figure_flags(const GridDef& def,
+                                    const std::string& store,
+                                    const std::string& shard) {
+  common::CliFlags cli(def.name);
+  bench::add_common_flags(cli);
+  def.add_flags(cli);
+  std::vector<std::string> args = {def.name,  "--fast",    "true",
+                                   "--datasets", "mnist",  "--repeats",
+                                   "1",       "--store",   store};
+  if (!shard.empty()) args.insert(args.end(), {"--shard", shard});
+  for (const auto& [name, value] : cli.items()) {
+    if (name == "epochs") args.insert(args.end(), {"--epochs", "1"});
+    if (name == "eval-samples") {
+      args.insert(args.end(), {"--eval-samples", "8"});
+    }
+  }
+  std::vector<const char*> argv;
+  for (const std::string& a : args) argv.push_back(a.c_str());
+  cli.parse(static_cast<int>(argv.size()), argv.data());
+  return cli;
+}
 
-  common::CliFlags bad("probe");
-  bad.add_string("sweep-json", dir + "/missing/summary.json", "summary path");
-  EXPECT_THROW(bench::probe_sweep_json(bad, "probe"), std::runtime_error);
-  std::filesystem::remove_all(dir);
+// Every figure report runs on real tables of its grid: the eight figure
+// grids sweep as one fleet, first as shard 0 of 2 and then whole against
+// the same store (which replays shard 0's cells, so each cell is
+// computed once). A report must not throw on the shard's partial table,
+// and on the complete table it must write its declared header and at
+// least one row.
+TEST(FigureReports, EveryReportWritesItsCsvFromFullAndPartialTables) {
+  bench::register_all_grids();
+  const GridRegistry& reg = GridRegistry::instance();
+  const std::string dir = ::testing::TempDir() + "falvolt_figure_reports";
+  fs::remove_all(dir);
+  fs::create_directories(dir + "/cache");
+  // An untrained MNIST baseline in the cache: the reports need real
+  // tables, not accurate ones, and skipping baseline training halves the
+  // run.
+  {
+    data::SyntheticMnistConfig shape;
+    shape.train_size = shape.test_size = 10;
+    snn::Network net = build_network(
+        DatasetKind::kMnist, data::make_synthetic_mnist(shape).train, 7);
+    save_params(net, baseline_cache_file(dir + "/cache", DatasetKind::kMnist,
+                                         /*fast=*/true, 7));
+  }
+
+  struct Sweep {
+    std::vector<common::CliFlags> clis;
+    std::vector<ResultTable> tables;
+  };
+  const auto sweep = [&](const std::string& shard) {
+    Sweep out;
+    for (const std::string& name : kFigureGrids) {
+      out.clis.push_back(
+          small_figure_flags(reg.get(name), dir + "/store", shard));
+    }
+    WorkloadOptions opts = bench::workload_options(out.clis.front());
+    opts.cache_dir = dir + "/cache";
+    FleetRunner runner(opts);
+    for (std::size_t g = 0; g < kFigureGrids.size(); ++g) {
+      const GridDef& def = reg.get(kFigureGrids[g]);
+      runner.add_grid(
+          {bench::store_options(out.clis[g], def.name, def.aggregation_only),
+           def.scenarios(out.clis[g]),
+           def.scenario_fn(out.clis[g], runner.context())});
+    }
+    out.tables = runner.run();
+    return out;
+  };
+
+  const Sweep partial = sweep("0/2");
+  const Sweep full = sweep("");
+  for (std::size_t g = 0; g < kFigureGrids.size(); ++g) {
+    const GridDef& def = reg.get(kFigureGrids[g]);
+    EXPECT_FALSE(partial.tables[g].complete()) << def.name;
+    {
+      io::CsvWriter csv(dir + "/" + def.name + ".partial.csv",
+                        def.csv_columns);
+      EXPECT_NO_THROW(def.report(partial.clis[g], partial.tables[g], csv))
+          << def.name;
+    }
+
+    ASSERT_TRUE(full.tables[g].complete()) << def.name;
+    const std::string path = dir + "/" + def.name + ".csv";
+    io::CsvWriter csv(path, def.csv_columns);
+    def.report(full.clis[g], full.tables[g], csv);
+    csv.close();
+    std::ifstream in(path);
+    std::string header, row;
+    ASSERT_TRUE(std::getline(in, header)) << def.name;
+    std::string columns;
+    for (const std::string& c : def.csv_columns) {
+      columns += (columns.empty() ? "" : ",") + c;
+    }
+    EXPECT_EQ(header, columns) << def.name;
+    EXPECT_TRUE(std::getline(in, row) && !row.empty())
+        << def.name << " wrote no CSV row";
+  }
+  fs::remove_all(dir);
+}
+
+// The figure driver probes its sweep-summary path before the sweep
+// without creating anything there: an unwritable path fails before any
+// work, and a run that dies after the probe leaves no file at the path.
+TEST(BenchProbes, SweepJsonProbeCreatesNoFile) {
+  const fs::path dir = fs::path(::testing::TempDir()) / "falvolt_probe_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir / "json");
+  const fs::path cwd = fs::current_path();
+  fs::current_path(dir);  // the driver writes its figure CSV to the CWD
+  const auto run = [&](const fs::path& summary) {
+    const std::string store = (dir / "store").string();
+    const std::string missing = (dir / "no_such_store").string();
+    const std::string json = summary.string();
+    const char* argv[] = {"fig5b_fault_count", "--fast",        "--datasets",
+                          "mnist",             "--store",       store.c_str(),
+                          "--substituters",    missing.c_str(), "--sweep-json",
+                          json.c_str()};
+    return bench::run_figure(static_cast<int>(std::size(argv)), argv,
+                             "fig5b_fault_count");
+  };
+  // The missing substituter fails the sweep as it opens the store: after
+  // the probe, before any cell.
+  EXPECT_THROW(run(dir / "json" / "summary.json"), std::invalid_argument);
+  EXPECT_TRUE(fs::is_empty(dir / "json"));
+  EXPECT_THROW(run(dir / "missing" / "summary.json"), std::runtime_error);
+  EXPECT_FALSE(fs::exists(dir / "missing"));
+  fs::current_path(cwd);
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -167,6 +167,15 @@ TEST_F(ResultStoreTest, ConcurrentWritersStayConsistent) {
   const std::string shared_payload(512, 's');
   constexpr int kThreads = 8;
   constexpr int kRounds = 20;
+  // Built by appending: GCC 12 flags the chained std::operator+ form
+  // with a false-positive -Wrestrict.
+  const auto private_fp = [](int t, int r) {
+    std::string seed = "t";
+    seed += std::to_string(t);
+    seed += 'r';
+    seed += std::to_string(r);
+    return fp_of(seed);
+  };
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -174,7 +183,7 @@ TEST_F(ResultStoreTest, ConcurrentWritersStayConsistent) {
         // Everyone hammers one shared cell (the multi-shard overlap
         // case) and writes private cells too.
         store.put(shared_fp, shared_payload);
-        store.put(fp_of("t" + std::to_string(t) + "r" + std::to_string(r)),
+        store.put(private_fp(t, r),
                   std::string(64, static_cast<char>('a' + t)));
         // Interleaved reads must never observe a torn record.
         const auto seen = store.get(shared_fp);
@@ -188,8 +197,7 @@ TEST_F(ResultStoreTest, ConcurrentWritersStayConsistent) {
   EXPECT_EQ(store.fingerprints().size(), 1u + kThreads * kRounds);
   for (int t = 0; t < kThreads; ++t) {
     for (int r = 0; r < kRounds; ++r) {
-      EXPECT_TRUE(store.get(
-          fp_of("t" + std::to_string(t) + "r" + std::to_string(r))));
+      EXPECT_TRUE(store.get(private_fp(t, r)));
     }
   }
 }

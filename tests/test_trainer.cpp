@@ -177,8 +177,8 @@ TEST(Trainer, EvalBatchLayout) {
   EXPECT_EQ(batch.steps[0].shape()[0],
             static_cast<int>(split.test.size()));
   ASSERT_EQ(batch.labels.size(), split.test.size());
-  for (std::size_t i = 0; i < split.test.size(); ++i) {
-    EXPECT_EQ(batch.labels[i], split.test[i].label);
+  for (int i = 0; i < split.test.size(); ++i) {
+    EXPECT_EQ(batch.labels[static_cast<std::size_t>(i)], split.test[i].label);
   }
 }
 
