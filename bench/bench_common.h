@@ -133,8 +133,7 @@ inline void add_common_flags(common::CliFlags& cli) {
                  "for a --shard run; none = disabled)");
   cli.add_string("store", "",
                  "content-addressed scenario result store spec: "
-                 "local:<dir>, segment:<dir> (read-only compacted "
-                 "archive), or a bare directory path ('' = "
+                 "local:<dir> or a bare directory path ('' = "
                  "$FALVOLT_STORE, else disabled; none = disabled). Cells "
                  "already in the store are replayed instead of recomputed");
   cli.add_string("substituters", "",
@@ -329,6 +328,9 @@ inline core::SweepStoreOptions store_options(
         "--substituters needs --store (or $FALVOLT_STORE): substituted "
         "cells replay through the local store's read chain");
   }
+  // A malformed spec fails here, before any output or store exists.
+  if (!st.dir.empty()) store::parse_store_spec(st.dir);
+  for (const std::string& sub : st.substituters) store::parse_store_spec(sub);
   return st;
 }
 

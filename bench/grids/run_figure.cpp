@@ -78,8 +78,13 @@ int run_figure(int argc, const char* const* argv, const std::string& grid) {
   std::printf("=== %s ===\n%s\n\n", def.label.c_str(), def.title.c_str());
 
   const std::vector<core::Scenario> scenarios = def.scenarios(cli);
-  const core::SweepStoreOptions store =
-      store_options(cli, def.name, def.aggregation_only);
+  core::SweepStoreOptions store;
+  try {
+    store = store_options(cli, def.name, def.aggregation_only);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", def.name.c_str(), e.what());
+    return 1;
+  }
   if (list_scenarios(cli, store, scenarios)) return 0;
 
   // Outputs open before the sweep so an unwritable CWD fails fast. The

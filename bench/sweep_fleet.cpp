@@ -372,24 +372,24 @@ int main(int argc, char** argv) try {
   }
 
   // Auto-merge: a table with no absent cells means the LAST shard just
-  // landed — emit the figure CSV straight from the shared store so a
-  // sharded fleet needs no manual sweep_merge step. Earlier shards
-  // still see foreign cells absent and leave emission to the finisher.
-  const store::StoreSpec store_spec = store::parse_store_spec(store_dir);
+  // landed — emit the grid's generic table (ResultTable::to_csv:
+  // key,tag,dataset,<metrics>, the same format as `sweep_merge --csv`)
+  // straight from the shared store so a sharded fleet needs no manual
+  // sweep_merge step. Earlier shards still see foreign cells absent and
+  // leave emission to the finisher.
+  const std::string table_dir =
+      store::parse_store_spec(store_dir) + "/tables";
   bool emitted_tables = false;
-  if (store_spec.scheme != "segment") {
-    for (std::size_t g = 0; g < tables.size(); ++g) {
-      if (!tables[g].complete() || tables[g].size() == 0) continue;
-      const std::string table_dir = store_spec.path + "/tables";
-      const std::string path = table_dir + "/" + specs[g].def->name + ".csv";
-      if (!io::publish_file(path, tables[g].to_csv())) {
-        std::fprintf(stderr, "sweep_fleet: cannot write %s\n", path.c_str());
-        return 1;
-      }
-      std::printf("[fleet] %s complete — table written to %s\n",
-                  specs[g].def->name.c_str(), path.c_str());
-      emitted_tables = true;
+  for (std::size_t g = 0; g < tables.size(); ++g) {
+    if (!tables[g].complete() || tables[g].size() == 0) continue;
+    const std::string path = table_dir + "/" + specs[g].def->name + ".csv";
+    if (!io::publish_file(path, tables[g].to_csv())) {
+      std::fprintf(stderr, "sweep_fleet: cannot write %s\n", path.c_str());
+      return 1;
     }
+    std::printf("[fleet] %s complete — table written to %s\n",
+                specs[g].def->name.c_str(), path.c_str());
+    emitted_tables = true;
   }
   if (!emitted_tables) {
     std::printf("[fleet] figure tables: re-run each bench with --store %s "

@@ -1,6 +1,5 @@
-// sweep_merge — union sharded scenario-result stores, maintain the
-// destination store (GC + segment compaction), and emit the final
-// figure tables.
+// sweep_merge — union sharded scenario-result stores, garbage-collect
+// the destination store, and emit the final figure tables.
 //
 // A multi-machine sweep runs `fig<X> --shard i/n --store <dir_i>` once
 // per shard; each shard publishes its cells (content-addressed) and the
@@ -14,18 +13,11 @@
 //      over manifest reachability — records no manifest references are
 //      deleted, reachable records are re-validated (frame checksum AND
 //      payload codec, so stale-format records from an epoch bump are
-//      reclaimed too) and dropped when damaged; fully-dead or damaged
-//      segments are deleted whole. Deleting is always safe: the worst
-//      case is a recompute on the next sweep,
-//   3. optionally compacts --into (--compact): packs the loose `.rec`
-//      records into one indexed append-only segment file (segment.h),
-//      durably published BEFORE the loose copies are deleted, so a
-//      crash mid-compact loses nothing and a re-run converges. Reads
-//      keep working throughout: sweeps open the store as loose objects
-//      layered over segments,
-//   4. rebuilds the complete grid in manifest order from the merged
-//      store (loose or segmented — the read chain is the same), and
-//   5. emits the generic figure table (--csv) — byte-identical to what
+//      reclaimed too) and dropped when damaged. Deleting is always
+//      safe: the worst case is a recompute on the next sweep,
+//   3. rebuilds the complete grid in manifest order from the merged
+//      store, and
+//   4. emits the generic figure table (--csv) — byte-identical to what
 //      a single unsharded sweep of the same grid produces, because every
 //      cell value is content-addressed by everything that determines
 //      it — and the machine-readable summary (--json), whose per-cell
@@ -36,7 +28,7 @@
 // The figure's own CSV and stdout tables — its grid's report, run by
 // the figure binary through bench::run_figure — can afterwards be
 // produced with zero recomputation by re-running the figure binary
-// against the merged store (all cells hit) — compacted or not.
+// against the merged store (all cells hit).
 
 #include <cstdio>
 #include <string>
@@ -46,7 +38,6 @@
 #include "common/cli.h"
 #include "common/json.h"
 #include "core/sweep.h"
-#include "store/compact.h"
 #include "store/gc.h"
 #include "store/manifest.h"
 #include "store/result_store.h"
@@ -75,9 +66,8 @@ bool publish(const std::string& path, const std::string& bytes) {
 int main(int argc, char** argv) {
   common::CliFlags cli("sweep_merge");
   cli.add_string("into", "",
-                 "destination store spec: local:<dir>, segment:<dir> "
-                 "(read-only — table emission and --list only), or a "
-                 "bare directory path (created if missing)");
+                 "destination store spec: local:<dir> or a bare "
+                 "directory path (created if missing)");
   cli.add_string("from", "",
                  "comma list of shard store specs (same grammar as "
                  "--into) to union into --into ('' = only emit tables "
@@ -92,8 +82,8 @@ int main(int argc, char** argv) {
   cli.add_string("json", "", "write the merged sweep JSON summary here");
   cli.add_bool("list", false,
                "print the merged store's usage stats (records + bytes per "
-               "bench, loose/segment split, provenance epoch histogram, "
-               "dedup/stale counts) and its manifests");
+               "bench, provenance epoch histogram, dedup/stale counts) "
+               "and its manifests");
   cli.add_string("stats-json", "",
                  "write the --list usage stats machine-readably to this "
                  "path, in the same flat-sample JSON schema as the fleet "
@@ -101,17 +91,12 @@ int main(int argc, char** argv) {
   cli.add_bool("prune", false,
                "garbage-collect --into after merging: delete records no "
                "manifest references and reachable records that fail "
-               "re-validation; delete fully-dead segments. Run only while "
-               "no sweep is writing to the store");
-  cli.add_bool("compact", false,
-               "pack --into's loose records into an indexed segment file "
-               "(published durably before any loose copy is deleted; "
-               "corrupt loose records are left for --prune). Run only "
-               "while no sweep is writing to the store");
+               "re-validation. Run only while no sweep is writing to the "
+               "store");
   cli.add_string("faults", "",
                  "I/O fault-injection spec (see the benches' --faults; '' "
                  "= $FALVOLT_FAULTS, none = disabled) — faults merge/"
-                 "compact/prune store I/O the same way");
+                 "prune store I/O the same way");
   if (!cli.parse(argc, argv)) return 0;
   bench::FaultScope fault_scope(cli.get_string("faults"));
 
@@ -124,9 +109,9 @@ int main(int argc, char** argv) {
       bench::split_list(cli.get_string("from"));
   // Parse every spec up front: an unknown scheme or empty path exits 1
   // with the supported list before anything is opened or created.
-  store::StoreSpec into_spec;
+  std::string into_root;
   try {
-    into_spec = store::parse_store_spec(cli.get_string("into"));
+    into_root = store::parse_store_spec(cli.get_string("into"));
     for (const std::string& dir : from_dirs) {
       (void)store::parse_store_spec(dir);
     }
@@ -134,21 +119,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "sweep_merge: %s\n", e.what());
     return 1;
   }
-  const bool into_writable = into_spec.scheme != "segment";
-  if (!into_writable &&
-      (!from_dirs.empty() || cli.get_bool("prune") ||
-       cli.get_bool("compact"))) {
-    std::fprintf(stderr,
-                 "sweep_merge: --into %s is a read-only segment: store — "
-                 "merge/--prune/--compact need a writable local:<dir> or "
-                 "bare-path destination\n",
-                 cli.get_string("into").c_str());
-    return 1;
-  }
   // Creating --into is right when shard stores are being merged INTO
-  // it; with no --from, every operation (prune, compact, list, table
-  // emission) reads an existing store — a typo'd path must fail, not
-  // materialize an empty store and report a successful no-op.
+  // it; with no --from, every operation (prune, list, table emission)
+  // reads an existing store — a typo'd path must fail, not materialize
+  // an empty store and report a successful no-op.
   if (from_dirs.empty() && !store::store_spec_exists(cli.get_string("into"))) {
     std::fprintf(stderr,
                  "sweep_merge: --into %s: no result store there (and no "
@@ -185,9 +159,9 @@ int main(int argc, char** argv) {
   // for exactly this check; dead markers from SIGKILLed runs are reaped,
   // only LIVE publishers block.
   {
-    std::vector<std::string> roots = {into_spec.path};
+    std::vector<std::string> roots = {into_root};
     for (const std::string& dir : from_dirs) {
-      roots.push_back(store::parse_store_spec(dir).path);
+      roots.push_back(store::parse_store_spec(dir));
     }
     bool busy = false;
     for (const std::string& root : roots) {
@@ -202,13 +176,10 @@ int main(int argc, char** argv) {
     }
     if (busy) return 1;
   }
-  // The loose-objects handle (maintenance: prune/compact/list are
-  // physical-layout operations; read-only for a segment: destination)
-  // and the layered read chain over loose + segments (everything
-  // content-addressed goes through this).
-  store::LocalDirStore dst_local(into_spec.path, /*create=*/into_writable);
-  const auto dst = store::open_store(cli.get_string("into"), {},
-                                     /*create=*/into_writable);
+  // The store directory (prune and list walk its files) and the read
+  // chain over it (everything content-addressed goes through this).
+  store::LocalDirStore dst_local(into_root);
+  const auto dst = store::open_store(cli.get_string("into"));
 
   for (const std::string& dir : from_dirs) {
     const auto src = store::open_store(dir, {}, /*create=*/false);
@@ -238,18 +209,12 @@ int main(int argc, char** argv) {
                 gc.to_string().c_str());
   }
 
-  if (cli.get_bool("compact")) {
-    const store::CompactStats stats = store::compact_store(dst_local);
-    std::printf("[compact] %s: %s\n", dst_local.root().c_str(),
-                store::to_text(stats).c_str());
-  }
-
   if (cli.get_bool("list") || !cli.get_string("stats-json").empty()) {
-    // Compaction/dedup accounting: bytes and records per bench (charged
-    // through manifest reachability), the loose/segment split, the
-    // provenance epoch histogram, and the stale/unreadable populations
-    // --prune would reclaim. One scan serves both the human --list block
-    // and the machine-readable --stats-json dump.
+    // Dedup accounting: bytes and records per bench (charged through
+    // manifest reachability), the provenance epoch histogram, and the
+    // stale/unreadable populations --prune would reclaim. One scan
+    // serves both the human --list block and the machine-readable
+    // --stats-json dump.
     const store::StoreStats stats = store::collect_store_stats(
         dst_local,
         [](const std::string& payload) -> std::optional<std::uint32_t> {
@@ -325,17 +290,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Rebuild the complete grid, in manifest (= grid) order, through the
-  // layered read chain (a compacted store serves every cell from its
-  // segments; a freshly written segment is NOT yet visible through a
-  // chain opened earlier, so reopen after --compact).
-  const auto reader = store::open_store(cli.get_string("into"), {},
-                                        /*create=*/into_writable);
+  // Rebuild the complete grid, in manifest (= grid) order.
   core::ResultTable table(manifest->entries.size());
   std::vector<std::string> missing;
   for (std::size_t i = 0; i < manifest->entries.size(); ++i) {
     const auto& [fp, key] = manifest->entries[i];
-    const std::optional<std::string> payload = reader->get(fp);
+    const std::optional<std::string> payload = dst->get(fp);
     core::ScenarioResult r;
     if (!payload || !core::decode_scenario_result(*payload, r) ||
         r.scenario.key != key) {

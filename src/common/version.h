@@ -6,6 +6,6 @@
 
 namespace falvolt {
 
-inline constexpr const char* kFalvoltVersion = "0.5.0";
+inline constexpr const char* kFalvoltVersion = "0.6.0";
 
 }  // namespace falvolt

@@ -662,17 +662,13 @@ FleetRunner::GridState FleetRunner::triage(std::size_t g) const {
     }
     // The manifest lists the FULL grid (all shards) and is identical
     // across the shards of one grid; written before any compute so a
-    // killed sweep still leaves the merge/plan tooling its grid. A
-    // read-only store (segment:) can only replay, never publish —
-    // whether that suffices is decided after triage below.
-    if (st.rs->writable()) {
-      store::Manifest manifest;
-      manifest.bench = store.bench.empty() ? "sweep" : store.bench;
-      for (std::size_t i = 0; i < total; ++i) {
-        manifest.entries.emplace_back(st.fps[i], scenarios[i].key);
-      }
-      st.rs->put_manifest(manifest);
+    // killed sweep still leaves the merge/plan tooling its grid.
+    store::Manifest manifest;
+    manifest.bench = store.bench.empty() ? "sweep" : store.bench;
+    for (std::size_t i = 0; i < total; ++i) {
+      manifest.entries.emplace_back(st.fps[i], scenarios[i].key);
     }
+    st.rs->put_manifest(manifest);
   }
   // Cost-balanced shard ownership over the STATIC cost estimates (every
   // independently launched shard derives the identical partition).
@@ -743,13 +739,6 @@ FleetRunner::GridState FleetRunner::triage(std::size_t g) const {
       st.pending_cost.push_back(cost);
     }
   }
-  if (use_store && !st.rs->writable() && !st.pending.empty()) {
-    throw std::runtime_error(
-        st.label + ": store '" + store.dir + "' is read-only but " +
-        std::to_string(st.pending.size()) +
-        " owned cell(s) still need computing — publish to a writable "
-        "store (local:<dir> or a bare path) instead");
-  }
   if (use_store) {
     std::fprintf(stderr,
                  "[sweep] %s @ store %s: %zu cached, %zu to compute, %zu "
@@ -819,8 +808,8 @@ std::vector<ResultTable> FleetRunner::run() {
     st.table.threads_ = threads;
   }
 
-  // While this run still has cells to publish, mark every writable
-  // destination store in-progress (a pid-stamped marker under tmp/):
+  // While this run still has cells to publish, mark every destination
+  // store in-progress (a pid-stamped marker under tmp/):
   // sweep_merge refuses to emit a partial table from a store a live
   // fleet is still publishing into. RAII — markers vanish on every exit
   // path, and a SIGKILL leaves only a dead-pid marker later runs ignore.
@@ -828,9 +817,9 @@ std::vector<ResultTable> FleetRunner::run() {
   {
     std::set<std::string> marked;
     for (const GridState& st : gs) {
-      if (st.pending.empty() || !st.rs || !st.rs->writable()) continue;
+      if (st.pending.empty() || !st.rs) continue;
       const std::string root =
-          store::parse_store_spec(st.grid->store.dir).path;
+          store::parse_store_spec(st.grid->store.dir);
       if (marked.insert(root).second) {
         inprogress.push_back(std::make_unique<store::InProgressGuard>(root));
       }

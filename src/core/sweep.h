@@ -28,10 +28,10 @@
 //
 // On top of that, a sweep can run against a persistent content-addressed
 // result store, opened through the store::StoreApi interface as a
-// layered chain: writable loose objects over the root's indexed
-// segments, with optional read-only substituter stores behind them
-// (store_api.h). Every cell is fingerprinted by
-// everything that determines its output (see fingerprint_cell);
+// layered chain: the writable local store, with optional read-only
+// substituter stores behind it (store_api.h). Every cell is
+// fingerprinted by everything that determines its output (see
+// fingerprint_cell);
 // a hit replays the stored result into the table, a miss computes and
 // publishes it. Because a cell is only ever skipped when its fingerprint
 // matches, cache hits are correct by construction — and re-running a
@@ -152,11 +152,8 @@ bool decode_scenario_result(const std::string& bytes, ScenarioResult& out);
 
 /// How a sweep uses the persistent result store.
 struct SweepStoreOptions {
-  /// Store spec — "local:<dir>", "segment:<dir>", or a bare directory
-  /// path (see store::parse_store_spec); empty disables the store
-  /// entirely. A read-only spec (segment:) can only replay cells, never
-  /// publish: a sweep against one fails if any owned cell still needs
-  /// computing.
+  /// Store spec — "local:<dir>" or a bare directory path (see
+  /// store::parse_store_spec); empty disables the store entirely.
   std::string dir;
   /// Grid owner — the bench name; part of every cell fingerprint.
   std::string bench;

@@ -31,7 +31,6 @@
 
 // Datasets.
 #include "data/dataset.h"                // IWYU pragma: export
-#include "data/encoders.h"               // IWYU pragma: export
 #include "data/glyphs.h"                 // IWYU pragma: export
 #include "data/synthetic_dvs_gesture.h"  // IWYU pragma: export
 #include "data/synthetic_mnist.h"        // IWYU pragma: export

@@ -34,6 +34,7 @@ CsvWriter::CsvWriter(const std::string& path,
 }
 
 CsvWriter::~CsvWriter() {
+  if (std::uncaught_exceptions() > uncaught_at_construction_) return;
   try {
     close();
   } catch (const std::exception& e) {

@@ -2,6 +2,7 @@
 // CSV writer used by the figure benches to persist the series they print,
 // so results can be re-plotted without re-running the experiment.
 
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,10 @@ class CsvWriter {
   /// Fails fast (std::runtime_error) when the directory of `path` does
   /// not accept new files (io::can_publish); writes nothing yet.
   CsvWriter(const std::string& path, const std::vector<std::string>& header);
-  /// Publishes if close() was not called; a failure is reported on stderr.
+  /// Publishes if close() was not called, unless an exception thrown
+  /// after construction is unwinding through the owner: a failed run
+  /// must not replace a complete table with a partial one. A publish
+  /// failure is reported on stderr.
   ~CsvWriter();
 
   CsvWriter(const CsvWriter&) = delete;
@@ -50,6 +54,7 @@ class CsvWriter {
   std::string text_;
   std::size_t columns_ = 0;
   bool closed_ = false;
+  int uncaught_at_construction_ = std::uncaught_exceptions();
 };
 
 }  // namespace falvolt::io

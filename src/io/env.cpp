@@ -23,18 +23,6 @@ std::optional<std::string> Env::read_file(const std::string& path) {
   return bytes;
 }
 
-std::optional<std::string> Env::read_range(const std::string& path,
-                                           std::uint64_t offset,
-                                           std::uint64_t length) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  in.seekg(static_cast<std::streamoff>(offset));
-  std::string bytes(length, '\0');
-  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!in) return std::nullopt;
-  return bytes;
-}
-
 std::optional<std::uint64_t> Env::file_size(const std::string& path) {
   std::error_code ec;
   const std::uintmax_t size = fs::file_size(path, ec);

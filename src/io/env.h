@@ -7,8 +7,8 @@
 // by construction but never exercised: nothing could tear a write, flip
 // a bit, or pull the plug between a rename and its directory fsync. Env
 // is that seam. Every file-content operation of the store stack —
-// record/manifest/segment reads and writes, renames, fsyncs, unlinks,
-// directory creation — goes through the one process-wide env(), whose
+// record/manifest reads and writes, renames, fsyncs, unlinks, directory
+// creation — goes through the one process-wide env(), whose
 // default implementation is a straight passthrough to the real
 // filesystem. Installing an io::FaultInjector (fault_injector.h)
 // replaces it with an environment that injects torn writes, bit flips,
@@ -18,7 +18,7 @@
 //
 // Scope: Env covers file CONTENT operations — the ones whose partial or
 // reordered effects a crash can expose. Directory listing (enumerating
-// records, manifests, segments) stays on std::filesystem: a listing is
+// records, manifests) stays on std::filesystem: a listing is
 // re-derived on every call and has no persistent effect to tear.
 //
 // Overhead: one relaxed atomic pointer load plus a virtual call per
@@ -42,12 +42,6 @@ class Env {
   /// Whole-file read; nullopt when the file cannot be opened or fully
   /// read. Never throws.
   virtual std::optional<std::string> read_file(const std::string& path);
-
-  /// Exactly `length` bytes at `offset`; nullopt on open failure or a
-  /// short read. Never throws.
-  virtual std::optional<std::string> read_range(const std::string& path,
-                                                std::uint64_t offset,
-                                                std::uint64_t length);
 
   /// Size of a regular file; nullopt when it does not exist (the
   /// miss-vs-degraded probe of the read path).
@@ -83,10 +77,10 @@ Env& env();
 /// (bench FaultScope, tests) disarm before destroying it.
 void set_env(Env* e);
 
-/// THE atomic-publish idiom, shared by records, manifests, and segments
-/// (previously four hand-rolled copies): stage `bytes` into a uniquely
-/// named "<prefix>.<pid>.<seq>.tmp" file under `staging_dir` (created
-/// if missing), fsync the staged bytes, rename onto `final_path`
+/// THE atomic-publish idiom, shared by records, manifests and output
+/// files: stage `bytes` into a uniquely named
+/// "<prefix>.<pid>.<seq>.tmp" file under `staging_dir` (created if
+/// missing), fsync the staged bytes, rename onto `final_path`
 /// (atomic — readers only ever see the complete file), then fsync the
 /// containing directory so a host crash after return cannot forget the
 /// rename. Throws std::runtime_error on failure, removing the staged

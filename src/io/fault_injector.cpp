@@ -317,31 +317,6 @@ std::optional<std::string> FaultInjector::read_file(const std::string& path) {
   return bytes;
 }
 
-std::optional<std::string> FaultInjector::read_range(const std::string& path,
-                                                     std::uint64_t offset,
-                                                     std::uint64_t length) {
-  auto bytes = Env::read_range(path, offset, length);
-  if (!spec_.corrupt_reads || !bytes) return bytes;
-  bool fire = false;
-  Damage damage = Damage::kNone;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    fire = should_fault(FaultSensitivity::kNormal);
-    if (fire && !bytes->empty()) {
-      const std::uint64_t bit = draw(bytes->size() * 8);
-      (*bytes)[bit / 8] ^= static_cast<char>(1u << (bit % 8));
-      ++bitflips_;
-      damage = Damage::kBitflip;
-    }
-  }
-  if (fire) {
-    faults_injected_counter().add(1);
-    if (damage == Damage::kBitflip) faults_bitflip_counter().add(1);
-    if (spec_.kill) pull_the_plug();
-  }
-  return bytes;
-}
-
 bool FaultInjector::write_file(const std::string& path,
                                const std::string& bytes) {
   bool fire = false;

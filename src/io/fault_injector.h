@@ -132,9 +132,6 @@ class FaultInjector final : public Env {
   explicit FaultInjector(FaultSpec spec);
 
   std::optional<std::string> read_file(const std::string& path) override;
-  std::optional<std::string> read_range(const std::string& path,
-                                        std::uint64_t offset,
-                                        std::uint64_t length) override;
   bool write_file(const std::string& path, const std::string& bytes) override;
 
   const FaultSpec& spec() const { return spec_; }

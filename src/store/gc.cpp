@@ -5,28 +5,18 @@
 
 #include "io/env.h"
 #include "store/manifest.h"
-#include "store/segment.h"
 
 namespace fs = std::filesystem;
 
 namespace falvolt::store {
 
 std::string GcStats::to_string() const {
-  std::string out =
-      std::to_string(live) + " live record(s) kept, " +
-      std::to_string(unreachable) + " unreachable + " +
-      std::to_string(invalid) + " invalid deleted, " +
-      std::to_string(manifests) + " manifest(s) (" +
-      std::to_string(manifests_invalid) + " unreadable removed), " +
-      std::to_string(tmp_removed) + " staging file(s) cleared";
-  if (segments_kept + segments_deleted > 0) {
-    out += ", " + std::to_string(segments_kept) + " segment(s) kept (" +
-           std::to_string(segment_live) + " live / " +
-           std::to_string(segment_dead) + " dead record(s), " +
-           std::to_string(segment_dead_bytes) + " dead byte(s)), " +
-           std::to_string(segments_deleted) + " segment(s) deleted";
-  }
-  return out;
+  return std::to_string(live) + " live record(s) kept, " +
+         std::to_string(unreachable) + " unreachable + " +
+         std::to_string(invalid) + " invalid deleted, " +
+         std::to_string(manifests) + " manifest(s) (" +
+         std::to_string(manifests_invalid) + " unreadable removed), " +
+         std::to_string(tmp_removed) + " staging file(s) cleared";
 }
 
 GcStats prune_store(const LocalDirStore& store, const PayloadCheck& check) {
@@ -71,31 +61,6 @@ GcStats prune_store(const LocalDirStore& store, const PayloadCheck& check) {
       continue;
     }
     ++stats.live;
-  }
-
-  // Sweep segments/. Segments are immutable: one reachable record keeps
-  // the whole file (dead co-residents are only accounted — recompacting
-  // reclaims them); zero reachable records, or an index that no longer
-  // validates (every entry already reads as a miss), deletes the file.
-  for (const SegmentInfo& seg : list_segments(store.root())) {
-    std::size_t seg_live = 0, seg_dead = 0;
-    std::uint64_t dead_bytes = 0;
-    for (const auto& [fp, length] : seg.entries) {
-      if (reachable.count(fp)) {
-        ++seg_live;
-      } else {
-        ++seg_dead;
-        dead_bytes += length;
-      }
-    }
-    if (!seg.readable || seg_live == 0) {
-      if (io::env().unlink_file(seg.path)) ++stats.segments_deleted;
-      continue;
-    }
-    ++stats.segments_kept;
-    stats.segment_live += seg_live;
-    stats.segment_dead += seg_dead;
-    stats.segment_dead_bytes += dead_bytes;
   }
 
   // Drop the 2-hex-char shard directories emptied by the sweep (harmless

@@ -13,19 +13,11 @@
 // addressed by everything that determines it, so the worst case of an
 // over-eager sweep is a recompute, never a wrong result.
 //
-// Segments (segment.h) are immutable, so GC treats them whole: a
-// segment keeps living as long as it holds ONE reachable record (dead
-// entries inside it are only counted — compaction, not GC, rewrites
-// segments); a segment with zero reachable records, or one whose index
-// no longer validates (every read already misses), is deleted as a
-// file.
-//
 // GC is an offline operation: run it only while no sweep is writing to
 // the store (it clears the tmp/ staging area and removes files that a
 // concurrent writer may be about to reference).
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -36,16 +28,11 @@ namespace falvolt::store {
 struct GcStats {
   std::size_t manifests = 0;           ///< readable manifests marked from
   std::size_t manifests_invalid = 0;   ///< unreadable manifests removed
-  std::size_t live = 0;                ///< reachable + valid loose, kept
+  std::size_t live = 0;                ///< reachable + valid, kept
   std::size_t unreachable = 0;         ///< deleted: no manifest references
   std::size_t invalid = 0;             ///< deleted: reachable but corrupt /
                                        ///< stale-format (recompute-on-read)
   std::size_t tmp_removed = 0;         ///< staging leftovers cleared
-  std::size_t segments_kept = 0;       ///< segments with ≥1 reachable record
-  std::size_t segments_deleted = 0;    ///< fully-dead or unreadable segments
-  std::size_t segment_live = 0;        ///< reachable records inside kept segments
-  std::size_t segment_dead = 0;        ///< dead records riding in kept segments
-  std::uint64_t segment_dead_bytes = 0;  ///< their bytes (recompact to reclaim)
 
   std::size_t deleted() const { return unreachable + invalid; }
   std::string to_string() const;

@@ -7,6 +7,8 @@
 
 namespace falvolt::store {
 
+namespace {
+
 void encode_le(std::uint8_t* out, std::uint64_t v, int bytes) {
   for (int i = 0; i < bytes; ++i) {
     out[i] = static_cast<std::uint8_t>(v >> (8 * i));
@@ -20,6 +22,8 @@ std::uint64_t decode_le(const std::uint8_t* in, int bytes) {
   }
   return v;
 }
+
+}  // namespace
 
 std::string frame_record(const std::string& payload) {
   Sha256 h;

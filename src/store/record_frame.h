@@ -1,8 +1,5 @@
 #pragma once
-// The record frame shared by every physical store backend: loose `.rec`
-// files (LocalDirStore) and records embedded in indexed segment files
-// (SegmentStore) carry the exact same bytes, so compaction can move a
-// record between layouts verbatim and readers validate one format.
+// The on-disk frame of every `.rec` record file (LocalDirStore).
 //
 // Frame: magic u32, store format epoch u32, payload length u64 — all
 // explicitly little-endian so stores move between machines regardless
@@ -25,11 +22,6 @@ constexpr std::uint32_t kRecordMagic = 0x46565253;  // "FVRS"
 constexpr std::size_t kRecordHeaderBytes =
     sizeof(std::uint32_t) * 2 + sizeof(std::uint64_t) + 32;
 
-/// Little-endian integer helpers shared by the frame and the segment
-/// index codec.
-void encode_le(std::uint8_t* out, std::uint64_t v, int bytes);
-std::uint64_t decode_le(const std::uint8_t* in, int bytes);
-
 /// Frame `payload` into the on-disk record bytes (header + payload).
 std::string frame_record(const std::string& payload);
 
@@ -38,8 +30,8 @@ std::string frame_record(const std::string& payload);
 /// checksum mismatch. Never throws on damage.
 std::optional<std::string> unframe_record(const std::string& bytes);
 
-// Durable publishing lives in io::atomic_publish (io/env.h): records,
-// manifests, and segments all stage + rename + dir-fsync through the
+// Durable publishing lives in io::atomic_publish (io/env.h): records
+// and manifests both stage + rename + dir-fsync through the
 // one injectable entry point, which is what the crash harness faults.
 
 }  // namespace falvolt::store

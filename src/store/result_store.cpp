@@ -33,8 +33,7 @@ void require_fingerprint(const std::string& fp) {
 bool store_exists(const std::string& root) {
   std::error_code ec;
   if (root.empty()) return false;
-  return fs::is_directory(fs::path(root) / "objects", ec) ||
-         fs::is_directory(fs::path(root) / "segments", ec);
+  return fs::is_directory(fs::path(root) / "objects", ec);
 }
 
 InProgressGuard::InProgressGuard(const std::string& root) {

@@ -6,9 +6,6 @@
 //
 //   <root>/objects/<fp[0:2]>/<fp>.rec   one record per fingerprint
 //   <root>/manifests/<bench>-<grid>.manifest   grid manifests (manifest.h)
-//   <root>/segments/<digest>.seg        indexed segment files (segment.h,
-//                                       written by compaction — read via
-//                                       a SegmentStore layered below)
 //   <root>/tmp/                         staging area for atomic writes
 //
 // Records are framed per record_frame.h. Writes stage into tmp/ and
@@ -29,11 +26,11 @@
 namespace falvolt::store {
 
 /// True when `root` already holds a store: its objects/ directory
-/// exists, or it is segments-only (fully compacted). LocalDirStore's
-/// constructor CREATES missing directories by default — the right
-/// behavior for a destination, but read-side callers (merge sources, GC
-/// targets, substituters) must check this first so a typo'd path reads
-/// as an error instead of silently materializing an empty store.
+/// exists. LocalDirStore's constructor CREATES missing directories by
+/// default — the right behavior for a destination, but read-side callers
+/// (merge sources, GC targets, substituters) must check this first so a
+/// typo'd path reads as an error instead of silently materializing an
+/// empty store.
 bool store_exists(const std::string& root);
 
 /// RAII "a sweep is still publishing into this store" marker:
@@ -76,7 +73,6 @@ class LocalDirStore : public StoreApi {
   std::string object_path(const std::string& fingerprint) const;
 
   std::string describe() const override;
-  bool writable() const override { return writable_; }
   bool contains(const std::string& fingerprint) const override;
   void put(const std::string& fingerprint,
            const std::string& payload) override;

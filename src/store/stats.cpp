@@ -7,7 +7,6 @@
 
 #include "obs/metrics.h"
 #include "store/manifest.h"
-#include "store/segment.h"
 
 namespace fs = std::filesystem;
 
@@ -38,44 +37,17 @@ StoreStats collect_store_stats(
         epoch_of) {
   StoreStats stats;
 
-  // On-disk size of every loose record file (unvalidated — disk usage is
-  // a property of the file, not of its content). Loose copies are the
-  // canonical charge for an address: they shadow segments in the read
-  // chain.
+  // On-disk size of every record file (unvalidated — disk usage is a
+  // property of the file, not of its content).
   std::map<std::string, std::uint64_t> record_bytes;
   for (const std::string& fp : rs.fingerprints()) {
     std::error_code ec;
     const std::uintmax_t size = fs::file_size(rs.object_path(fp), ec);
-    record_bytes.emplace(fp, ec ? 0 : static_cast<std::uint64_t>(size));
-  }
-  stats.loose_records = record_bytes.size();
-  for (const auto& [fp, bytes] : record_bytes) {
-    (void)fp;
-    stats.loose_bytes += bytes;
-  }
-
-  // Fold in the segments: an entry not shadowed by a loose copy (or an
-  // earlier segment's) becomes the canonical copy of its address; a
-  // shadowed entry is dead weight until recompaction.
-  for (const SegmentInfo& seg : list_segments(rs.root())) {
-    ++stats.segment_files;
-    stats.segment_file_bytes += seg.file_bytes;
-    if (!seg.readable) {
-      stats.segment_dead_bytes += seg.file_bytes;
-      continue;
-    }
-    stats.segment_records += seg.entries.size();
-    for (const auto& [fp, length] : seg.entries) {
-      if (!record_bytes.emplace(fp, length).second) {
-        stats.segment_dead_bytes += length;
-      }
-    }
-  }
-  stats.total_records = record_bytes.size();
-  for (const auto& [fp, bytes] : record_bytes) {
-    (void)fp;
+    const std::uint64_t bytes = ec ? 0 : static_cast<std::uint64_t>(size);
+    record_bytes.emplace(fp, bytes);
     stats.total_bytes += bytes;
   }
+  stats.total_records = record_bytes.size();
 
   // Charge each record to the first manifest that references it; count
   // every further reference as deduplicated storage.
@@ -112,13 +84,10 @@ StoreStats collect_store_stats(
   }
   if (unreferenced.records > 0) stats.benches.push_back(unreferenced);
 
-  // Epoch histogram from the record payloads, read through the same
-  // loose-then-segments chain a sweep would use.
-  const SegmentStore segments(rs.root());
+  // Epoch histogram from the record payloads.
   for (const auto& [fp, bytes] : record_bytes) {
     (void)bytes;
-    std::optional<std::string> payload = rs.get(fp);
-    if (!payload) payload = segments.get(fp);
+    const std::optional<std::string> payload = rs.get(fp);
     if (!payload) {
       ++stats.unreadable_records;
       continue;
@@ -138,24 +107,6 @@ std::string StoreStats::to_text() const {
   std::snprintf(line, sizeof(line), "[store] %zu record(s), %s\n",
                 total_records, human_bytes(total_bytes).c_str());
   out += line;
-  std::snprintf(line, sizeof(line),
-                "[store]   loose: %zu record(s) %s\n", loose_records,
-                human_bytes(loose_bytes).c_str());
-  out += line;
-  if (segment_files > 0) {
-    const double packed =
-        total_records
-            ? 100.0 * static_cast<double>(total_records - loose_records) /
-                  static_cast<double>(total_records)
-            : 0.0;
-    std::snprintf(line, sizeof(line),
-                  "[store]   segments: %zu file(s), %zu indexed record(s), "
-                  "%s on disk (%s dead), %.0f%% of records packed\n",
-                  segment_files, segment_records,
-                  human_bytes(segment_file_bytes).c_str(),
-                  human_bytes(segment_dead_bytes).c_str(), packed);
-    out += line;
-  }
   for (const BenchUsage& b : benches) {
     std::snprintf(line, sizeof(line), "[store]   %-24s %6zu record(s) %12s\n",
                   b.bench.c_str(), b.records, human_bytes(b.bytes).c_str());
@@ -197,12 +148,6 @@ std::string StoreStats::to_json(int indent) const {
   };
   add("store.total_records", total_records);
   add("store.total_bytes", total_bytes);
-  add("store.loose_records", loose_records);
-  add("store.loose_bytes", loose_bytes);
-  add("store.segment_files", segment_files);
-  add("store.segment_records", segment_records);
-  add("store.segment_file_bytes", segment_file_bytes);
-  add("store.segment_dead_bytes", segment_dead_bytes);
   add("store.deduplicated_refs", deduplicated_refs);
   add("store.stale_payloads", stale_payloads);
   add("store.unreadable_records", unreadable_records);

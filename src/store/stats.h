@@ -1,8 +1,7 @@
 #pragma once
 // Store usage statistics for `sweep_merge --list`: how much of a store
 // each bench's grid occupies, which format epochs its records were
-// written under, how much the manifests share, and how the records are
-// split between loose `.rec` files and indexed segments (segment.h).
+// written under, and how much the manifests share.
 //
 // Bench attribution goes through the manifests (records themselves do
 // not name their bench — the bench name is hashed into the fingerprint,
@@ -10,9 +9,6 @@
 // it, further references are counted as deduplicated, and records no
 // manifest references (left behind by flag changes or epoch bumps, the
 // population `--prune` reclaims) land in a "(unreferenced)" bucket.
-// Records may live loose, in a segment, or both (mid-compaction
-// duplicates); each address is charged once, with the loose copy — the
-// one reads prefer — taken as canonical.
 //
 // The epoch histogram reads each record's PAYLOAD via a caller-supplied
 // probe (the scenario-result codec lives above this layer in core/, so
@@ -40,8 +36,8 @@ struct StoreStats {
     std::uint64_t bytes = 0;  ///< on-disk bytes of those records
   };
 
-  std::size_t total_records = 0;  ///< distinct record addresses (loose ∪ seg)
-  std::uint64_t total_bytes = 0;  ///< bytes of each address's canonical copy
+  std::size_t total_records = 0;  ///< record files under objects/
+  std::uint64_t total_bytes = 0;  ///< their on-disk bytes
   /// Per-bench usage in manifest order; the "(unreferenced)" bucket, if
   /// non-empty, is last.
   std::vector<BenchUsage> benches;
@@ -56,17 +52,6 @@ struct StoreStats {
   /// Records whose frame failed validation (get() returned nothing).
   std::size_t unreadable_records = 0;
 
-  // Loose-vs-segment split (`--compact` accounting).
-  std::size_t loose_records = 0;       ///< .rec files under objects/
-  std::uint64_t loose_bytes = 0;       ///< their on-disk bytes
-  std::size_t segment_files = 0;       ///< .seg files (readable + not)
-  std::size_t segment_records = 0;     ///< indexed entries in readable segments
-  std::uint64_t segment_file_bytes = 0;  ///< on-disk bytes of all .seg files
-  /// Bytes inside segments that reads never use: entries shadowed by a
-  /// loose copy or a duplicate in an earlier segment, plus the full size
-  /// of unreadable segments. Reclaimed by GC + recompaction.
-  std::uint64_t segment_dead_bytes = 0;
-
   /// Human-readable multi-line report (the `--list` output block).
   std::string to_text() const;
 
@@ -77,7 +62,7 @@ struct StoreStats {
   std::string to_json(int indent = 0) const;
 };
 
-/// Scan every record (loose and segmented) and manifest of `rs`.
+/// Scan every record and manifest of `rs`.
 /// `epoch_of` extracts the provenance store-epoch from a validated
 /// payload (nullopt = foreign codec); sweep_merge passes
 /// core::decode_scenario_result.

@@ -2,19 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
-#include <filesystem>
 #include <stdexcept>
 
 #include "store/result_store.h"
-#include "store/segment.h"
-
-namespace fs = std::filesystem;
 
 namespace falvolt::store {
 
-LayeredStore::LayeredStore(std::vector<std::unique_ptr<StoreApi>> layers,
-                           std::size_t substituter_start)
-    : layers_(std::move(layers)), substituter_start_(substituter_start) {
+LayeredStore::LayeredStore(std::vector<std::unique_ptr<StoreApi>> layers)
+    : layers_(std::move(layers)) {
   if (layers_.empty()) {
     throw std::invalid_argument("LayeredStore: no layers");
   }
@@ -40,8 +35,6 @@ std::string LayeredStore::describe() const {
   return out;
 }
 
-bool LayeredStore::writable() const { return layers_.front()->writable(); }
-
 bool LayeredStore::contains(const std::string& fingerprint) const {
   for (const auto& layer : layers_) {
     if (layer->contains(fingerprint)) return true;
@@ -54,21 +47,14 @@ std::optional<std::string> LayeredStore::get(
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     if (std::optional<std::string> payload = layers_[i]->get(fingerprint)) {
       layer_hit_[i]->add(1);
-      // open_store layers substituter chains behind the root's; a hit
-      // there is a cell this host never paid for.
-      if (i >= substituter_start_) substituter_hit_->add(1);
+      // Every layer behind the root is a substituter; a hit there is a
+      // cell this host never paid for.
+      if (i > 0) substituter_hit_->add(1);
       return payload;
     }
   }
   chain_miss_->add(1);
   return std::nullopt;
-}
-
-int LayeredStore::locate(const std::string& fingerprint) const {
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    if (layers_[i]->get(fingerprint)) return static_cast<int>(i);
-  }
-  return -1;
 }
 
 void LayeredStore::put(const std::string& fingerprint,
@@ -118,7 +104,7 @@ MergeStats merge_records(StoreApi& dst, const StoreApi& src) {
   return stats;
 }
 
-StoreSpec parse_store_spec(const std::string& spec) {
+std::string parse_store_spec(const std::string& spec) {
   // A scheme is a leading [A-Za-z][A-Za-z0-9+.-]* followed by ':'.
   // Absolute paths ('/'), relative paths with separators before any
   // colon, and anything starting with a digit or dot all fall through
@@ -136,65 +122,45 @@ StoreSpec parse_store_spec(const std::string& spec) {
         alpha || std::isdigit(c) != 0 || c == '+' || c == '.' || c == '-';
     if (i == 0 ? !alpha : !tail) break;
   }
-  if (colon == std::string::npos) return StoreSpec{"", spec};
+  if (colon == std::string::npos) return spec;
   std::string scheme = spec.substr(0, colon);
   for (char& c : scheme) {
     c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
-  if (scheme != "local" && scheme != "segment") {
-    throw std::invalid_argument(
-        "unknown store scheme '" + scheme + ":' in '" + spec +
-        "' — supported: local:<dir>, segment:<dir>, or a bare path");
+  if (scheme != "local") {
+    throw std::invalid_argument("unknown store scheme '" + scheme +
+                                ":' in '" + spec +
+                                "' — supported: local:<dir> or a bare path");
   }
   const std::string path = spec.substr(colon + 1);
   if (path.empty()) {
-    throw std::invalid_argument("store spec '" + spec +
-                                "' has an empty path — supported: "
-                                "local:<dir>, segment:<dir>, or a bare path");
+    throw std::invalid_argument(
+        "store spec '" + spec +
+        "' has an empty path — supported: local:<dir> or a bare path");
   }
-  return StoreSpec{std::move(scheme), path};
+  return path;
 }
 
 bool store_spec_exists(const std::string& spec) {
-  const StoreSpec s = parse_store_spec(spec);
-  if (s.scheme == "segment") {
-    std::error_code ec;
-    return fs::is_directory(fs::path(s.path) / "segments", ec);
-  }
-  return store_exists(s.path);
+  return store_exists(parse_store_spec(spec));
 }
 
 std::unique_ptr<LayeredStore> open_store(
     const std::string& dir, const std::vector<std::string>& substituters,
     bool create) {
-  const StoreSpec root = parse_store_spec(dir);
   std::vector<std::unique_ptr<StoreApi>> layers;
-  if (root.scheme == "segment") {
-    if (!store_spec_exists(dir)) {
-      throw std::invalid_argument("open_store: '" + dir +
-                                  "' is not a segment store (no segments/ "
-                                  "directory)");
-    }
-    layers.push_back(std::make_unique<SegmentStore>(root.path));
-  } else {
-    layers.push_back(std::make_unique<LocalDirStore>(root.path, create));
-    layers.push_back(std::make_unique<SegmentStore>(root.path));
-  }
-  const std::size_t substituter_start = layers.size();
+  layers.push_back(
+      std::make_unique<LocalDirStore>(parse_store_spec(dir), create));
   for (const std::string& sub : substituters) {
-    const StoreSpec s = parse_store_spec(sub);
     if (!store_spec_exists(sub)) {
       throw std::invalid_argument("open_store: substituter '" + sub +
-                                  "' is not a store (no objects/ or "
-                                  "segments/ directory)");
+                                  "' is not a store (no objects/ "
+                                  "directory)");
     }
-    if (s.scheme != "segment") {
-      layers.push_back(
-          std::make_unique<LocalDirStore>(s.path, /*create=*/false));
-    }
-    layers.push_back(std::make_unique<SegmentStore>(s.path));
+    layers.push_back(std::make_unique<LocalDirStore>(parse_store_spec(sub),
+                                                     /*create=*/false));
   }
-  return std::make_unique<LayeredStore>(std::move(layers), substituter_start);
+  return std::make_unique<LayeredStore>(std::move(layers));
 }
 
 }  // namespace falvolt::store

@@ -2,27 +2,22 @@
 // StoreApi — the abstract interface every result-store consumer
 // programs against (the Nix store-api.hh/substituter split is the
 // exemplar). A store maps content-address fingerprints to validated
-// record payloads and holds grid manifests; HOW those records live on
-// (or off) disk is the backend's business:
+// record payloads and holds grid manifests:
 //
 //   LocalDirStore   loose objects/<fp[0:2]>/<fp>.rec files + manifests
-//                   (result_store.h) — the writable default.
-//   SegmentStore    read-only view of indexed append-only segment files
-//                   (segment.h) produced by `sweep_merge --compact`.
+//                   (result_store.h) — the one on-disk layout.
 //   LayeredStore    ordered read-through chain: get() takes the first
 //                   layer that has a valid record, put() writes to the
-//                   front. This is both how a local root combines its
-//                   loose objects with its segments AND how a worker
-//                   substitutes cells computed elsewhere (--substituters:
-//                   read-only stores consulted behind the local one).
+//                   front. This is how a worker substitutes cells
+//                   computed elsewhere (--substituters: read-only
+//                   stores consulted behind the local one).
 //
 // The contract every backend honors: get() validates the full record
 // frame and returns nullopt on ANY damage (recompute, never throw);
 // put() is atomic and durable (readers never see partial records, and
 // a crash after put() returns cannot lose it); fingerprints() lists
-// names without validating. A future remote/HTTP substituter implements
-// this same interface — the sweep engine, merge tool, and fleet driver
-// never learn the difference.
+// names without validating. The sweep engine, merge tool, and fleet
+// driver only ever see this interface.
 
 #include <memory>
 #include <optional>
@@ -40,10 +35,6 @@ class StoreApi {
 
   /// Human-readable identity for logs and errors, e.g. "dir:/x/store".
   virtual std::string describe() const = 0;
-
-  /// False for read-only backends (segments, substituters); their
-  /// put()/put_manifest() throw std::logic_error.
-  virtual bool writable() const = 0;
 
   /// True when a record file/entry exists under `fingerprint`
   /// (unvalidated — a corrupt record still "exists" until GC'd).
@@ -79,16 +70,12 @@ class StoreApi {
 /// fingerprints()/manifests() union all layers (fingerprints deduped).
 class LayeredStore : public StoreApi {
  public:
-  /// `layers` must be non-empty; layers[0] is the write target.
-  /// `substituter_start` is the index of the first layer that belongs
-  /// to a substituter rather than the local root (hits from there feed
-  /// the store.substituter.hit counter); open_store computes it from
-  /// how many layers the root's scheme contributes.
-  explicit LayeredStore(std::vector<std::unique_ptr<StoreApi>> layers,
-                        std::size_t substituter_start = 2);
+  /// `layers` must be non-empty; layers[0] is the local root and the
+  /// write target, every later layer a substituter (hits from there
+  /// feed the store.substituter.hit counter).
+  explicit LayeredStore(std::vector<std::unique_ptr<StoreApi>> layers);
 
   std::string describe() const override;
-  bool writable() const override;
   bool contains(const std::string& fingerprint) const override;
   std::optional<std::string> get(
       const std::string& fingerprint) const override;
@@ -98,22 +85,17 @@ class LayeredStore : public StoreApi {
   void put_manifest(const Manifest& m) override;
   std::vector<Manifest> manifests(const std::string& bench) const override;
 
-  /// Index of the first layer holding a valid record of `fingerprint`,
-  /// or -1 — distinguishes a local hit from a substituter hit.
-  int locate(const std::string& fingerprint) const;
-
   std::size_t layer_count() const { return layers_.size(); }
   const StoreApi& layer(std::size_t i) const { return *layers_.at(i); }
 
  private:
   std::vector<std::unique_ptr<StoreApi>> layers_;
-  std::size_t substituter_start_;
   // Chain telemetry (obs/metrics.h), resolved once at construction so
   // the read path pays only relaxed adds: which layer POSITION served
-  // each hit ("store.chain.layer<i>.hit" — open_store puts the local
-  // root's layers first, substituter layers behind), whole-chain
-  // misses, and the substituter-served subset. Registry entries are
-  // immortal, so these pointers never dangle.
+  // each hit ("store.chain.layer<i>.hit" — layer 0 is the local root,
+  // substituters from 1 on), whole-chain misses, and the
+  // substituter-served subset. Registry entries are immortal, so these
+  // pointers never dangle.
   std::vector<obs::Counter*> layer_hit_;
   obs::Counter* chain_miss_ = nullptr;
   obs::Counter* substituter_hit_ = nullptr;
@@ -131,47 +113,32 @@ struct MergeStats {
 /// addressing both sides agree, so skip-if-present is harmless.
 MergeStats merge_records(StoreApi& dst, const StoreApi& src);
 
-/// A parsed store spec. Everywhere a store is named on a command line
-/// (`--store`, `--substituters`, sweep_merge's `--into`/`--from`) the
-/// same URI-style grammar applies:
+/// Parse a store spec into the store's root directory. Everywhere a
+/// store is named on a command line (`--store`, `--substituters`,
+/// sweep_merge's `--into`/`--from`) the same grammar applies:
 ///
-///   local:<dir>    the standard local chain: writable loose objects
-///                  over the directory's indexed segments
-///   segment:<dir>  ONLY the directory's segment files, read-only —
-///                  a fully-compacted archive served as-is
+///   local:<dir>    the loose-object store rooted at <dir>
 ///   <dir>          bare path (no scheme), same as local:<dir>
 ///
-/// A future remote backend is one new scheme (e.g. https:) here plus
-/// one StoreApi class — no consumer changes.
-struct StoreSpec {
-  std::string scheme;  ///< "local", "segment", or "" for a bare path
-  std::string path;    ///< filesystem root the scheme applies to
-};
+/// A leading `[A-Za-z][A-Za-z0-9+.-]*:` is a scheme (so absolute and
+/// relative paths can never be mistaken for one); anything else is a
+/// bare path. Throws std::invalid_argument naming the supported forms
+/// on an unknown scheme or an empty path — CLI drivers print the
+/// message and exit 1.
+std::string parse_store_spec(const std::string& spec);
 
-/// Parse a store spec. A leading `[A-Za-z][A-Za-z0-9+.-]*:` is a
-/// scheme (so absolute and relative paths can never be mistaken for
-/// one); anything else is a bare path. Throws std::invalid_argument
-/// naming the supported forms on an unknown scheme or an empty path —
-/// CLI drivers print the message and exit 1.
-StoreSpec parse_store_spec(const std::string& spec);
-
-/// Spec-aware existence probe: does `spec` already hold a store of its
-/// scheme's shape? (`segment:` needs a segments/ directory; `local:` /
-/// bare accept loose objects or segments-only roots.) Read-side callers
-/// check this before opening so a typo'd path is an error, not a
-/// silently-materialized empty store.
+/// Does `spec` already hold a store (an objects/ directory)? Read-side
+/// callers check this before opening so a typo'd path is an error, not
+/// a silently-materialized empty store.
 bool store_spec_exists(const std::string& spec);
 
 /// Open the store named by spec `dir` with a read-only chain per
-/// substituter spec layered behind it. For `local:`/bare specs the
-/// root's loose objects (writable, front) sit over its indexed
-/// segments and creating the directories is the default (it is a
-/// sweep's destination); with create=false nothing is materialized and
-/// the root opens read-only. `segment:` roots contribute only their
-/// (read-only) segment layer. Substituter roots are never created and
-/// must already hold a store (throws std::invalid_argument otherwise —
-/// a typo'd substituter must not silently read as "everything
-/// misses").
+/// substituter spec layered behind it. Creating the root's directories
+/// is the default (it is a sweep's destination); with create=false
+/// nothing is materialized and the root opens read-only. Substituter
+/// roots are never created and must already hold a store (throws
+/// std::invalid_argument otherwise — a typo'd substituter must not
+/// silently read as "everything misses").
 std::unique_ptr<LayeredStore> open_store(
     const std::string& dir,
     const std::vector<std::string>& substituters = {}, bool create = true);

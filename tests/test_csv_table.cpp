@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/table.h"
 #include "io/csv.h"
@@ -40,6 +41,22 @@ TEST_F(CsvTest, ColumnCountMismatchThrows) {
   CsvWriter w(path_, {"a", "b"});
   EXPECT_THROW(w.row(std::vector<std::string>{"only-one"}),
                std::invalid_argument);
+}
+
+TEST_F(CsvTest, WriterUnwoundByAThrowLeavesTheExistingFileUntouched) {
+  {
+    CsvWriter w(path_, {"a", "b"});
+    w.row(std::vector<std::string>{"1", "x"});
+  }
+  ASSERT_EQ(read_file(path_), "a,b\n1,x\n");
+  // A run that fails after opening its writer must not publish the
+  // header-only table over the complete one.
+  try {
+    CsvWriter w(path_, {"a", "b"});
+    throw std::runtime_error("run failed");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_EQ(read_file(path_), "a,b\n1,x\n");
 }
 
 TEST_F(CsvTest, IntegersFormattedWithoutDecimal) {

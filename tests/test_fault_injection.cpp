@@ -4,7 +4,7 @@
 // through io::Env + io::FaultInjector instead of asserted:
 //  - atomic_publish never exposes a partial file under its final name,
 //    proven by SIGKILLing a child process at every PtP boundary;
-//  - every read layer (loose objects, indexed segments, substituters)
+//  - every read layer (local loose objects, substituters)
 //    degrades injected corruption to "recompute" — never throws, never
 //    returns a wrong record;
 //  - a sweep whose writes are torn/bit-flipped, or whose worker is
@@ -35,7 +35,6 @@
 #include "io/fault_injector.h"
 #include "obs/metrics.h"
 #include "snn/model_zoo.h"
-#include "store/compact.h"
 #include "store/result_store.h"
 #include "store/store_api.h"
 
@@ -439,14 +438,11 @@ TEST_F(FaultInjectionTest, EveryStoreLayerDegradesCorruptReads) {
   const std::string fp_a = std::string(63, 'a') + "1";
   const std::string fp_b = std::string(63, 'b') + "2";
 
-  // Layer fixtures: `local` holds fp_a loose; `seg` holds fp_a in an
-  // indexed segment (compacted); `subst` is a substituter holding fp_b.
+  // Layer fixtures: `local` holds fp_a; `subst` is a substituter
+  // holding fp_b.
   {
     store::LocalDirStore local(dir_ + "/local");
     local.put(fp_a, "payload-a");
-    store::LocalDirStore seg(dir_ + "/seg");
-    seg.put(fp_a, "payload-a");
-    store::compact_store(seg);
     store::LocalDirStore subst(dir_ + "/subst");
     subst.put(fp_b, "payload-b");
   }
@@ -454,18 +450,13 @@ TEST_F(FaultInjectionTest, EveryStoreLayerDegradesCorruptReads) {
   for (const char* raw :
        {"mode=independent,p=1,seed=5,read=1", "mode=runlength,runlen=1,read=1"}) {
     SCOPED_TRACE(raw);
-    // Open the chains BEFORE arming: segment indexes are parsed at open,
-    // and this test targets record reads, not index parsing.
     const auto local = store::open_store(dir_ + "/local");
-    const auto seg = store::open_store(dir_ + "/seg");
     const auto layered = store::open_store(dir_ + "/empty", {dir_ + "/subst"});
 
     arm_faults(parse_fault_spec(raw));
     // RunLength fires only on its Nth point, so probe each chain under a
     // fresh arm; Independent p=1 corrupts every read either way.
     EXPECT_EQ(local->get(fp_a), std::nullopt) << "local layer must degrade";
-    arm_faults(parse_fault_spec(raw));
-    EXPECT_EQ(seg->get(fp_a), std::nullopt) << "segment layer must degrade";
     arm_faults(parse_fault_spec(raw));
     EXPECT_EQ(layered->get(fp_b), std::nullopt)
         << "substituter layer must degrade";
@@ -474,28 +465,8 @@ TEST_F(FaultInjectionTest, EveryStoreLayerDegradesCorruptReads) {
     // Clean reads afterwards: the corruption was injected in transit,
     // not persisted — no layer may have been poisoned.
     EXPECT_EQ(local->get(fp_a), std::string("payload-a"));
-    EXPECT_EQ(seg->get(fp_a), std::string("payload-a"));
     EXPECT_EQ(layered->get(fp_b), std::string("payload-b"));
   }
-}
-
-TEST_F(FaultInjectionTest, DamagedSegmentIndexDegradesToMissAtOpen) {
-  const std::string fp = std::string(63, 'c') + "3";
-  store::LocalDirStore s(dir_ + "/segstore");
-  s.put(fp, "segment payload");
-  store::compact_store(s);
-
-  // Opening the chain WHILE reads are corrupted: the segment index fails
-  // validation, so the whole segment lists as damaged — every get is a
-  // miss, nothing throws.
-  arm_faults(parse_fault_spec("mode=independent,p=1,seed=11,read=1"));
-  const auto chain = store::open_store(dir_ + "/segstore");
-  EXPECT_EQ(chain->get(fp), std::nullopt);
-  disarm_faults();
-
-  // A clean reopen sees the intact segment again.
-  EXPECT_EQ(store::open_store(dir_ + "/segstore")->get(fp),
-            std::string("segment payload"));
 }
 
 // -------------------------------------------------------- sweep + resume

@@ -64,20 +64,6 @@ TEST(PublicApi, UmbrellaHeaderEndToEnd) {
   EXPECT_FALSE(cost.layers.empty());
 }
 
-TEST(PublicApi, EncodersComposeWithDatasets) {
-  common::Rng rng(4);
-  const tensor::Tensor img = data::render_glyph(5, rng);
-  const tensor::Tensor as_chw = img.reshaped({1, 16, 16});
-  const tensor::Tensor rate = data::rate_encode(as_chw, 6, rng);
-  const tensor::Tensor latency = data::latency_encode(as_chw, 6);
-  const tensor::Tensor direct = data::direct_encode(as_chw, 6);
-  EXPECT_EQ(rate.shape(), latency.shape());
-  EXPECT_EQ(rate.shape(), direct.shape());
-  // Rate coding of a binary-ish glyph fires roughly per intensity.
-  const tensor::Tensor mean_rate = data::spike_rate(rate);
-  EXPECT_LE(tensor::max_value(mean_rate), 1.0f);
-}
-
 TEST(PublicApi, CycleSimulatorAccessibleThroughUmbrella) {
   systolic::ArrayConfig cfg;
   cfg.rows = cfg.cols = 4;

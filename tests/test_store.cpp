@@ -1,8 +1,9 @@
 // The content-addressed store's core contracts: correct SHA-256,
 // prefix-free fingerprint framing, atomic/validated record IO that
-// degrades every kind of damage to "miss", validated store unions, the
-// URI-style store spec grammar, and the in-progress markers that keep
-// sweep_merge from emitting tables while a sweep is mid-publish.
+// degrades every kind of damage to "miss", validated store unions,
+// read-only substituter chains, the URI-style store spec grammar, and
+// the in-progress markers that keep sweep_merge from emitting tables
+// while a sweep is mid-publish.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "store/fingerprint.h"
 #include "store/hash.h"
 #include "store/manifest.h"
@@ -229,6 +231,37 @@ TEST_F(ResultStoreTest, MergeUnionsAndSkipsCorrupt) {
   fs::remove_all(root_ + "_b");
 }
 
+TEST_F(ResultStoreTest, SubstituterHitVersusLocalMissPrecedence) {
+  // A substituter store with one computed cell...
+  const std::string sub_dir = root_ + "_sub";
+  {
+    LocalDirStore sub(sub_dir);
+    sub.put(fp_of("remote"), "computed elsewhere");
+  }
+  // ...consulted behind an empty local store.
+  const auto chain = open_store(root_, {sub_dir});
+  ASSERT_EQ(chain->layer_count(), 2u);  // local root, then the substituter
+  const obs::Counter& sub_hits = obs::counter("store.substituter.hit");
+  const std::uint64_t before = sub_hits.value();
+  EXPECT_EQ(chain->get(fp_of("remote")), "computed elsewhere");
+  EXPECT_EQ(sub_hits.value(), before + 1) << "hit came from the sub";
+  EXPECT_EQ(chain->layer(0).get(fp_of("remote")), std::nullopt);
+  EXPECT_EQ(chain->get(fp_of("nowhere")), std::nullopt);
+
+  // A local write shadows the substituter from then on.
+  chain->put(fp_of("remote"), "recomputed locally");
+  EXPECT_EQ(chain->layer(0).get(fp_of("remote")), "recomputed locally");
+  EXPECT_EQ(chain->get(fp_of("remote")), "recomputed locally");
+  EXPECT_EQ(sub_hits.value(), before + 1) << "local hit, not the sub";
+  // The substituter itself was never written to.
+  EXPECT_EQ(chain->layer(1).get(fp_of("remote")), "computed elsewhere");
+  fs::remove_all(sub_dir);
+}
+
+TEST_F(ResultStoreTest, OpenStoreRejectsMissingSubstituter) {
+  EXPECT_THROW(open_store(root_, {root_ + "_typo"}), std::invalid_argument);
+}
+
 TEST_F(ResultStoreTest, ManifestRoundTripAndListing) {
   LocalDirStore store(root_);
   Manifest m;
@@ -270,31 +303,30 @@ TEST_F(ResultStoreTest, TruncatedManifestIsRejected) {
 // ------------------------------------------------ store specs
 
 TEST(StoreSpec, ParsesSchemesAndBarePaths) {
-  StoreSpec spec = parse_store_spec("local:/a/b");
-  EXPECT_EQ(spec.scheme, "local");
-  EXPECT_EQ(spec.path, "/a/b");
-  EXPECT_EQ(parse_store_spec("LOCAL:x").scheme, "local");
-  EXPECT_EQ(parse_store_spec("segment:seg_dir").scheme, "segment");
-  spec = parse_store_spec("/abs/path");
-  EXPECT_EQ(spec.scheme, "");
-  EXPECT_EQ(spec.path, "/abs/path");
+  EXPECT_EQ(parse_store_spec("local:/a/b"), "/a/b");
+  EXPECT_EQ(parse_store_spec("LOCAL:x"), "x");
+  EXPECT_EQ(parse_store_spec("/abs/path"), "/abs/path");
   // A separator before any colon means "bare path", not a scheme.
-  spec = parse_store_spec("rel/dir:with_colon");
-  EXPECT_EQ(spec.scheme, "");
-  EXPECT_EQ(spec.path, "rel/dir:with_colon");
+  EXPECT_EQ(parse_store_spec("rel/dir:with_colon"), "rel/dir:with_colon");
 }
 
 TEST(StoreSpec, RejectsUnknownSchemesNamingTheSupportedOnes) {
-  try {
-    parse_store_spec("s3:bucket");
-    FAIL() << "unknown scheme accepted";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("s3"), std::string::npos) << what;
-    EXPECT_NE(what.find("local:"), std::string::npos) << what;
-    EXPECT_NE(what.find("segment:"), std::string::npos) << what;
+  for (const char* spec : {"s3:bucket", "segment:x"}) {
+    try {
+      parse_store_spec(spec);
+      FAIL() << "unknown scheme accepted: " << spec;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string(spec).substr(0, 2)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("local:<dir>"), std::string::npos) << what;
+      EXPECT_NE(what.find("bare path"), std::string::npos) << what;
+    }
   }
   EXPECT_THROW(parse_store_spec("local:"), std::invalid_argument);
+  EXPECT_THROW(open_store("segment:x"), std::invalid_argument);
+  EXPECT_FALSE(fs::exists("segment:x"));
 }
 
 // ------------------------------------------------ in-progress markers

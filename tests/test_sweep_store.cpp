@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/sweep.h"
-#include "store/compact.h"
 #include "store/manifest.h"
 #include "store/result_store.h"
 
@@ -270,42 +269,17 @@ TEST_F(SweepStoreTest, CorruptRecordIsRecomputedNotTrusted) {
   EXPECT_TRUE(rs.get(fp).has_value()) << "record must be healed";
 }
 
-TEST_F(SweepStoreTest, CompactedStoreWarmRerunComputesNothing) {
-  const std::vector<Scenario> scenarios = grid();
-  std::atomic<int> computed{0};
-  const ResultTable t_cold =
-      run(store_opts(dir_), scenarios, counting_fn(computed));
-  EXPECT_EQ(computed.load(), 6);
-
-  // Pack every cell into a segment; no loose record remains.
-  const store::LocalDirStore rs(dir_);
-  const store::CompactStats stats = store::compact_store(rs);
-  EXPECT_EQ(stats.packed, 6);
-  EXPECT_TRUE(rs.fingerprints().empty());
-
-  // The warm run is served entirely from the segment — zero cells
-  // computed, tables byte-identical to the loose-store run.
-  const ResultTable t_warm =
-      run(store_opts(dir_), scenarios, counting_fn(computed));
-  EXPECT_EQ(computed.load(), 6) << "compacted store must not recompute";
-  EXPECT_TRUE(t_warm.complete());
-  EXPECT_EQ(t_warm.computed_cells(), 0u);
-  EXPECT_EQ(t_warm.cached_cells(), 6u);
-  EXPECT_EQ(t_cold.to_csv(), t_warm.to_csv());
-  EXPECT_EQ(without_run_line(t_cold.to_json("grid_test")),
-            without_run_line(t_warm.to_json("grid_test")));
-}
-
 TEST_F(SweepStoreTest, SubstitutersServeCellsComputedElsewhere) {
   const std::vector<Scenario> scenarios = grid();
   std::atomic<int> computed{0};
-  // Machine A computes the grid into its own store (then compacts, so
-  // the substituter path is exercised through segments too).
+  // Machine A computes the grid into its own store.
   const std::string dir_a = dir_ + "_a";
   const ResultTable t_a =
       run(store_opts(dir_a), scenarios, counting_fn(computed));
   EXPECT_EQ(computed.load(), 6);
-  store::compact_store(store::LocalDirStore(dir_a));
+  const std::vector<std::string> records_a =
+      store::LocalDirStore(dir_a, /*create=*/false).fingerprints();
+  EXPECT_EQ(records_a.size(), 6u);
 
   // Machine B starts empty but substitutes from A: zero recompute, and
   // nothing is ever written into A.
@@ -317,10 +291,13 @@ TEST_F(SweepStoreTest, SubstitutersServeCellsComputedElsewhere) {
   EXPECT_EQ(t_b.computed_cells(), 0u);
   EXPECT_EQ(t_b.cached_cells(), 6u);
   EXPECT_EQ(t_a.to_csv(), t_b.to_csv());
-  EXPECT_TRUE(store::LocalDirStore(dir_a, /*create=*/false)
+  EXPECT_EQ(store::LocalDirStore(dir_a, /*create=*/false).fingerprints(),
+            records_a)
+      << "substituter stays read-only";
+  EXPECT_TRUE(store::LocalDirStore(dir_, /*create=*/false)
                   .fingerprints()
                   .empty())
-      << "substituter stays read-only (records live in its segment)";
+      << "substituted cells are served read-through, not copied locally";
 
   // A typo'd substituter fails loudly instead of missing everything.
   SweepStoreOptions st_typo = store_opts(dir_ + "_fresh");
