@@ -370,21 +370,20 @@ std::string run_faulty_gemm_sweep() {
     const double scalar_ms = time_kernel_ms([&] {
       engine.run(a.data(), w.data(), c.data(), m, k, n, "L");
     });
-    // Path-taken counts for ONE vectorized invocation: delta the
-    // engine's cumulative counters around a single untimed run, so the
-    // JSON carries deterministic per-run() numbers (the timed loops
-    // above run an unknown number of iterations). Sanity invariant:
-    // vector + scalar + fallback columns plus (real_rows +
-    // reference_rows) * n covers every output element exactly once.
+    // Path-taken counts for ONE kernel invocation: delta the engine's
+    // cumulative counters around a single untimed run, so the JSON
+    // carries deterministic per-run() numbers (the timed loops above run
+    // an unknown number of iterations). Sanity invariant: vector_rows +
+    // scalar_rows == m, every row through one kind of lanes.
     engine.set_force_scalar(false);
     const auto paths_before = engine.path_counts();
     const std::uint64_t steps_before = engine.accumulate_steps();
     engine.run(a.data(), w.data(), c.data(), m, k, n, "L");
     const auto paths = engine.path_counts();
-    const unsigned long long vector_cols = paths.vector_cols - paths_before.vector_cols;
-    const unsigned long long scalar_cols = paths.scalar_cols - paths_before.scalar_cols;
-    const unsigned long long fallback_cols =
-        paths.fallback_cols - paths_before.fallback_cols;
+    const unsigned long long vector_rows =
+        paths.vector_rows - paths_before.vector_rows;
+    const unsigned long long scalar_rows =
+        paths.scalar_rows - paths_before.scalar_rows;
     const unsigned long long real_rows =
         paths.real_rows - paths_before.real_rows;
     const unsigned long long reference_rows =
@@ -397,13 +396,12 @@ std::string run_faulty_gemm_sweep() {
         "    {\"mode\": \"%s\", \"array\": %d, \"faults\": %d, "
         "\"m\": %d, \"k\": %d, \"n\": %d, \"scalar_ms\": %.4f, "
         "\"vector_ms\": %.4f, \"speedup\": %.2f, "
-        "\"vector_mitems_per_s\": %.1f, \"vector_cols\": %llu, "
-        "\"scalar_cols\": %llu, \"fallback_cols\": %llu, "
-        "\"real_rows\": %llu, \"reference_rows\": %llu, "
-        "\"accumulate_steps\": %llu}%s\n",
+        "\"vector_mitems_per_s\": %.1f, \"vector_rows\": %llu, "
+        "\"scalar_rows\": %llu, \"real_rows\": %llu, "
+        "\"reference_rows\": %llu, \"accumulate_steps\": %llu}%s\n",
         cs.mode, cs.array, cs.faults, m, k, n, scalar_ms, vector_ms,
-        scalar_ms / vector_ms, items / (vector_ms * 1e3), vector_cols,
-        scalar_cols, fallback_cols, real_rows, reference_rows, steps,
+        scalar_ms / vector_ms, items / (vector_ms * 1e3), vector_rows,
+        scalar_rows, real_rows, reference_rows, steps,
         idx + 1 == cases.size() ? "" : ",");
     json += row;
     std::printf(

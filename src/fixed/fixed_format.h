@@ -77,16 +77,6 @@ class FixedFormat {
     return saturate((prod + (scale_ >> 1)) >> frac_bits_);
   }
 
-  /// Overflow-headroom proof used by the faulty-GEMM fast path: a chain
-  /// of saturating adds starting from 0 equals plain integer addition
-  /// whenever the sum of absolute contributions cannot leave the raw
-  /// range — every intermediate partial sum is then bounded by `abs_sum`
-  /// in magnitude, so no step saturates. (For a nonzero starting value,
-  /// pass |start| + abs_sum.)
-  bool saturation_free(std::int64_t abs_sum) const {
-    return abs_sum <= static_cast<std::int64_t>(max_raw_);
-  }
-
   /// Sign-extend the low `total_bits` of `bits` into a canonical raw value.
   std::int32_t sign_extend(std::uint32_t bits) const;
 

@@ -1,7 +1,9 @@
 #include "snn/conv2d.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 
@@ -102,6 +104,77 @@ void im2col_rows(const float* xpad, const InputPlanes& in,
       }
     }
   }
+}
+
+// The im2col matrix [N * OH * OW, K] of x (row (s, oy, ox), column (c, ky,
+// kx)) as per-row nonzero lists in CSR form. Each nonzero input scatters
+// to the <= KH * KW output rows whose patch holds it: a count pass sizes
+// the rows, a fill pass writes them. Inputs are visited in (s, c, iy, ix)
+// order, so every row receives its columns ascending, in im2col's order.
+// Zero inputs of either sign are left out.
+struct RowLists {
+  std::vector<int> row_ptr;
+  std::vector<int> cols;
+  std::vector<float> vals;
+};
+
+RowLists im2col_lists(const tensor::Tensor& x, const tensor::ConvGeometry& g) {
+  struct Input {
+    int s, c, iy, ix;
+    float v;
+  };
+  std::vector<Input> nz;
+  const float* xv = x.data();
+  for (int s = 0; s < x.dim(0); ++s) {
+    for (int c = 0; c < g.in_channels; ++c) {
+      for (int iy = 0; iy < g.in_h; ++iy, xv += g.in_w) {
+        // Spike rows are mostly empty: test a whole row first (the OR of
+        // the bit patterns is 0 or the sign bit only if all are +-0).
+        std::uint32_t bits = 0;
+        for (int ix = 0; ix < g.in_w; ++ix) {
+          bits |= std::bit_cast<std::uint32_t>(xv[ix]);
+        }
+        if ((bits << 1) == 0) continue;
+        for (int ix = 0; ix < g.in_w; ++ix) {
+          if (xv[ix] != 0.0f) nz.push_back({s, c, iy, ix, xv[ix]});
+        }
+      }
+    }
+  }
+  const int kh = g.kernel_h;
+  const int kw = g.kernel_w;
+  const int oh = g.out_h();
+  const int ow = g.out_w();
+  const int p = oh * ow;
+  const int rows = x.dim(0) * p;
+  // Calls emit(row, column, value) for every nonzero of the matrix.
+  const auto scatter = [&](auto&& emit) {
+    for (const Input& in : nz) {
+      // Taps with output (iy + pad - ky, ix + pad - kx) inside the image.
+      const int ky0 = std::max(0, in.iy + g.pad - oh + 1);
+      const int ky1 = std::min(kh, in.iy + g.pad + 1);
+      const int kx0 = std::max(0, in.ix + g.pad - ow + 1);
+      const int kx1 = std::min(kw, in.ix + g.pad + 1);
+      for (int ky = ky0; ky < ky1; ++ky) {
+        const int row = in.s * p + (in.iy + g.pad - ky) * ow + in.ix + g.pad;
+        const int col = (in.c * kh + ky) * kw;
+        for (int kx = kx0; kx < kx1; ++kx) emit(row - kx, col + kx, in.v);
+      }
+    }
+  };
+  RowLists a;
+  a.row_ptr.assign(static_cast<std::size_t>(rows) + 1, 0);
+  scatter([&](int row, int, float) { ++a.row_ptr[row + 1]; });
+  for (int r = 0; r < rows; ++r) a.row_ptr[r + 1] += a.row_ptr[r];
+  a.cols.resize(static_cast<std::size_t>(a.row_ptr[rows]));
+  a.vals.resize(a.cols.size());
+  std::vector<int> fill(a.row_ptr.begin(), a.row_ptr.end() - 1);
+  scatter([&](int row, int col, float v) {
+    const int at = fill[row]++;
+    a.cols[at] = col;
+    a.vals[at] = v;
+  });
+  return a;
 }
 
 // out[s, co] = (+0 + chain) + bias, the chain running over taps (c, ky,
@@ -469,19 +542,13 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& x, int t, Mode mode) {
     direct_forward(xpad->data(), in, geometry_, n, weight_.value.data(), m,
                    bias, out.data());
   } else {
-    tensor::Tensor cols({n * p, k});
-    const std::size_t in_plane = static_cast<std::size_t>(in_channels_) *
-                                 geometry_.in_h * geometry_.in_w;
-    for (int s = 0; s < n; ++s) {
-      tensor::im2col(x.data() + static_cast<std::size_t>(s) * in_plane,
-                     geometry_,
-                     cols.data() + static_cast<std::size_t>(s) * p * k);
-    }
-    // GEMM: [n*p, k] x [k, m] -> [n*p, m], repacked into [N, Cout, OH, OW]
-    // with the bias added.
+    // GEMM: [n*p, k] x [k, m] -> [n*p, m] over the im2col matrix's
+    // nonzero lists, repacked into [N, Cout, OH, OW] with the bias added.
+    const RowLists a = im2col_lists(x, geometry_);
     tensor::Tensor prod({n * p, m});
-    engine_->run(cols.data(), weight_.value.data(), prod.data(), n * p, k, m,
-                 Layer::name());
+    engine_->run_sparse(a.row_ptr.data(), a.cols.data(), a.vals.data(),
+                        weight_.value.data(), prod.data(), n * p, k, m,
+                        Layer::name());
     for (int s = 0; s < n; ++s) {
       for (int pix = 0; pix < p; ++pix) {
         const float* row =

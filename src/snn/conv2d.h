@@ -7,8 +7,11 @@
 //
 // Two executions share those weights:
 //
-//   * With a GemmEngine plugged in (systolic faulty eval), forward lowers
-//     to im2col + one engine GEMM [N*OH*OW, K] x [K, Cout].
+//   * With a GemmEngine plugged in (systolic faulty eval), forward is one
+//     engine GEMM [N*OH*OW, K] x [K, Cout] over the im2col matrix, handed
+//     over as per-row nonzero lists (GemmEngine::run_sparse). The lists
+//     are built by scattering each nonzero input to the output rows whose
+//     patch holds it; the dense matrix is never built.
 //   * Without one (training and clean float eval), three direct kernels
 //     run over zero-padded input planes and never build the im2col
 //     matrix. Each reproduces the bits of the lowering through

@@ -36,6 +36,15 @@ class GemmEngine {
   /// C[m x n] = A[m x k] * W[k x n], row-major.
   virtual void run(const float* a, const float* w, float* c, int m, int k,
                    int n, const std::string& layer_tag) = 0;
+
+  /// The same product with A given as per-row nonzero lists (CSR): row i
+  /// holds A[i][cols[t]] = vals[t] for t in [row_ptr[i], row_ptr[i+1]),
+  /// columns ascending, values nonzero; every other entry is zero. The
+  /// default densifies the rows and calls run(), so an engine that only
+  /// implements run() sees the same matrix.
+  virtual void run_sparse(const int* row_ptr, const int* cols,
+                          const float* vals, const float* w, float* c, int m,
+                          int k, int n, const std::string& layer_tag);
 };
 
 /// Default float GEMM (delegates to tensor::gemm, i.e. the compute
@@ -89,9 +98,9 @@ class Layer {
 };
 
 /// Interface implemented by layers whose forward pass is one GEMM
-/// (Conv2d via im2col, Linear). These are the layers mapped onto the
-/// systolic array: their weight matrix is [K x M] with element (k, m)
-/// living on PE(k mod N, m mod N).
+/// (Conv2d over its im2col matrix, Linear). These are the layers mapped
+/// onto the systolic array: their weight matrix is [K x M] with element
+/// (k, m) living on PE(k mod N, m mod N).
 class MatmulLayer {
  public:
   virtual ~MatmulLayer() = default;

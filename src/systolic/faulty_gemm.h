@@ -16,23 +16,26 @@
 // them across the compute thread pool; each row is evaluated exactly as in
 // a serial run, keeping the result bit-identical for any thread count.
 //
-// Hot path: the serial reference walks every (row, column, position) with
-// a saturating add per step. The plan additionally carries a packed
-// column-contiguous copy of the quantized weights and per-column prefix
-// sums of |qweight| — an *overflow headroom proof*. When a traversal
-// segment provably cannot saturate (sum of absolute contributions, plus
-// the magnitude of the incoming partial sum, stays within the format's
-// raw bounds), the saturating add chain is replaced by plain int32 adds,
-// vectorized across groups of 8 output columns (compute/simd.h; AVX2 with
-// a bit-identical scalar fallback). Binary segments that might saturate
-// keep the saturating add chain, walking only the spike positions.
-// Rows with real-valued (non-binary-spike) activations — encoder pixels
-// and average-pooled spike rates — quantize each nonzero activation once
-// per row and then walk only those positions per column, through the
-// same event/segment order with the same saturating fixed multiply and
-// add as the reference. FALVOLT_FORCE_SCALAR=1 pins every row to the
-// exact serial reference loop, so each fast path is always byte-for-byte
-// checkable against it.
+// Hot path: every row, binary or real, faulty or clean, is evaluated from
+// its nonzero list (run_sparse takes the lists directly; run compacts
+// each dense row into one) by one 8-column kernel. The plan keeps the
+// quantized weights padded to a multiple of 8 columns and, per group of 8
+// output columns, the merged fault-event list: the union of the 8 lanes'
+// PE-column schedules sorted by position, with per-lane sa0/sa1 masks (a
+// zero mask leaves its lane unchanged). The kernel walks the row's list
+// and the group's events together in the reference's order: events
+// before a nonzero position, the saturating add of the position's
+// weights (a real-valued activation first multiplies, once quantized per
+// row; an activation of exactly 1.0f adds unmultiplied), the event at the
+// position, and after the list every remaining event, padding rows
+// included. Zero activations add nothing and are skipped, as in the
+// reference. AVX2 lanes run it when their int32 arithmetic equals the
+// format's: adds for words <= 31 bits, multiplies for words <= 16 bits;
+// otherwise, and in builds without AVX2, eight scalar lanes with the
+// format's own add and multiply do. FALVOLT_FORCE_SCALAR=1 pins every row
+// to the exact serial reference loop (a list row is expanded to a dense
+// row for it), so the kernel is always byte-for-byte checkable against
+// it.
 //
 // Fault handling modes:
 //   kCorrupt — stuck bits corrupt the psum (the unmitigated chip);
@@ -63,6 +66,9 @@ class SystolicGemmEngine final : public snn::GemmEngine {
 
   void run(const float* a, const float* w, float* c, int m, int k, int n,
            const std::string& layer_tag) override;
+  void run_sparse(const int* row_ptr, const int* cols, const float* vals,
+                  const float* w, float* c, int m, int k, int n,
+                  const std::string& layer_tag) override;
 
   /// Drop cached per-layer quantized weights. Plans are also invalidated
   /// automatically when the weight *content* changes (the cache keys on a
@@ -78,9 +84,9 @@ class SystolicGemmEngine final : public snn::GemmEngine {
   void set_threads(int threads) { threads_ = threads; }
   int threads() const { return threads_; }
 
-  /// Force the exact serial reference loop, disabling the vectorized
-  /// saturation-free fast path (tests diff the two byte-for-byte).
-  /// Defaults to the FALVOLT_FORCE_SCALAR environment variable.
+  /// Force the exact serial reference loop instead of the 8-lane kernel
+  /// (tests diff the two byte-for-byte). Defaults to the
+  /// FALVOLT_FORCE_SCALAR environment variable.
   void set_force_scalar(bool force) { force_scalar_ = force; }
   bool force_scalar() const { return force_scalar_; }
 
@@ -90,28 +96,24 @@ class SystolicGemmEngine final : public snn::GemmEngine {
     return steps_.load(std::memory_order_relaxed);
   }
 
-  /// Which codepath evaluated each output element since construction
+  /// Which codepath evaluated each output row since construction
   /// (schedule-only telemetry; the paths are bit-identical by contract):
-  ///   vector_cols     columns done 8-wide by accumulate_rows_i32x8
-  ///   scalar_cols     fast-path remainder columns (plain scalar adds)
-  ///   fallback_cols   exact_binary_column (runtime headroom checks)
-  ///   real_rows       real-valued rows, activations quantized once
+  ///   vector_rows     rows through the AVX2 lanes
+  ///   scalar_rows     rows through the portable scalar lanes
+  ///   real_rows       rows holding a real-valued activation (either
+  ///                   lanes), quantized once per row
   ///   reference_rows  rows through the serial reference loop (only
   ///                   under force_scalar)
-  /// Column counts cover binary-spike rows only; a real or reference
-  /// row counts once however many columns it holds.
   struct PathCounts {
-    std::uint64_t vector_cols = 0;
-    std::uint64_t scalar_cols = 0;
-    std::uint64_t fallback_cols = 0;
+    std::uint64_t vector_rows = 0;
+    std::uint64_t scalar_rows = 0;
     std::uint64_t real_rows = 0;
     std::uint64_t reference_rows = 0;
   };
   PathCounts path_counts() const {
     PathCounts p;
-    p.vector_cols = vector_cols_.load(std::memory_order_relaxed);
-    p.scalar_cols = scalar_cols_.load(std::memory_order_relaxed);
-    p.fallback_cols = fallback_cols_.load(std::memory_order_relaxed);
+    p.vector_rows = vector_rows_.load(std::memory_order_relaxed);
+    p.scalar_rows = scalar_rows_.load(std::memory_order_relaxed);
     p.real_rows = real_rows_.load(std::memory_order_relaxed);
     p.reference_rows = reference_rows_.load(std::memory_order_relaxed);
     return p;
@@ -123,51 +125,49 @@ class SystolicGemmEngine final : public snn::GemmEngine {
     fx::StuckBits bits;
   };
   struct LayerPlan {
-    std::vector<std::int32_t> qweights;  // [k x n], bypassed weights zeroed
-    // Packed column-contiguous copy of qweights ([n x k], column j at
-    // offset j*k): the per-column scalar fast path walks one column
-    // sequentially instead of striding by n.
-    std::vector<std::int32_t> qweights_cols;
-    // Overflow-headroom proof: per column j, prefix sums of |qweight|
-    // down the column ([n x (k+1)], prefix[j*(k+1) + t] = sum of the
-    // first t entries). A traversal segment [lo, hi) of column j sums to
-    // at most prefix[hi'] - prefix[lo] in magnitude (hi' = min(hi, k)).
-    std::vector<std::int64_t> col_abs_prefix;
-    // Per output column: 1 when the whole column is fast-path eligible —
-    // no fault events on its PE column and the full-column headroom fits
-    // the format's raw bounds.
-    std::vector<std::uint8_t> col_fast;
-    // Fault-event schedule per *physical* PE column; output column j uses
-    // entry j mod cols. Sized min(n, cols) — the PE columns actually hit.
+    // [k x n8] with n8 = n rounded up to a multiple of 8: row kk at
+    // kk * n8; bypassed weights and the padding lanes are zero.
+    std::vector<std::int32_t> qweights;
+    // The reference loop's fault-event schedule per *physical* PE column;
+    // output column j uses entry j mod cols. Sized min(n, cols) — the PE
+    // columns actually hit.
     std::vector<std::vector<FaultEvent>> pe_column_events;
+    // Merged schedule per group of 8 output columns: group g's events are
+    // [group_events[g], group_events[g + 1]) of event_pos (ascending, the
+    // last entry a sentinel past every position) and event_masks (16
+    // words each: sa0 of lanes 0..7, then sa1).
+    std::vector<int> group_events;
+    std::vector<int> event_pos;
+    std::vector<std::uint32_t> event_masks;
     int k = 0;
     int n = 0;
+    int n8 = 0;
     int padded_k = 0;
     const float* weight_ptr = nullptr;   // last seen buffer (diagnostic)
     std::uint64_t weight_hash = 0;       // content identity of the weights
   };
+  // A's rows: dense [m x k] when `dense` is set, CSR lists otherwise.
+  struct Rows {
+    const float* dense = nullptr;
+    const int* row_ptr = nullptr;
+    const int* cols = nullptr;
+    const float* vals = nullptr;
+  };
+  // Per-worker buffers and tallies of run_rows.
+  struct RowScratch;
 
   const LayerPlan& plan_for(const std::string& tag, const float* w, int k,
                             int n);
-  void run_rows(const LayerPlan& plan, const float* a, float* c, int i0,
-                int i1, int n);
+  void run_plan(const LayerPlan& plan, const Rows& rows, float* c, int m);
+  void run_rows(const LayerPlan& plan, const Rows& rows, float* c, int i0,
+                int i1);
   /// The exact serial reference for one output row (all columns):
   /// per-step saturating accumulate + fault events, any activation kind.
   void reference_row(const LayerPlan& plan, const float* arow, float* crow,
-                     int n, std::uint64_t& local_steps) const;
-  /// One column of a binary-spike row via the event/segment walk, with
-  /// per-segment runtime headroom checks. `nz` holds the row's nonzero
-  /// positions (all exactly 1.0f), sorted ascending.
-  void exact_binary_column(const LayerPlan& plan, const std::vector<int>& nz,
-                           int j, float* crow,
-                           std::uint64_t& local_steps) const;
-  /// One column of a real-valued row via the event/segment walk. `qa[t]`
-  /// is the quantized activation at position nz[t]; activations exactly
-  /// 1.0f add the weight unmultiplied, as in the reference.
-  void real_column(const LayerPlan& plan, const float* arow,
-                   const std::vector<int>& nz,
-                   const std::vector<std::int32_t>& qa, int j, float* crow,
-                   std::uint64_t& local_steps) const;
+                     std::uint64_t& local_steps) const;
+  /// The 8-lane kernel for one row given as its nonzero list.
+  void lanes_row(const LayerPlan& plan, const int* cols, const float* vals,
+                 int count, float* crow, RowScratch& scratch) const;
 
   ArrayConfig cfg_;
   const fault::FaultMap* map_;
@@ -176,9 +176,8 @@ class SystolicGemmEngine final : public snn::GemmEngine {
   bool force_scalar_ = false;
   std::unordered_map<std::string, LayerPlan> plans_;
   std::atomic<std::uint64_t> steps_{0};
-  std::atomic<std::uint64_t> vector_cols_{0};
-  std::atomic<std::uint64_t> scalar_cols_{0};
-  std::atomic<std::uint64_t> fallback_cols_{0};
+  std::atomic<std::uint64_t> vector_rows_{0};
+  std::atomic<std::uint64_t> scalar_rows_{0};
   std::atomic<std::uint64_t> real_rows_{0};
   std::atomic<std::uint64_t> reference_rows_{0};
 };

@@ -6,8 +6,10 @@
 // pixel and K = Cin*Kh*Kw columns. This is also exactly how the layer's
 // weights are laid onto the systolic array: the GEMM's B matrix is
 // [K x Cout], and element (k, m) of B maps to PE(k mod N, m mod N).
-// snn::Conv2d lowers through it only when a GemmEngine (the systolic
-// faulty-eval model) runs the product; its float path convolves directly.
+// snn::Conv2d never materializes this matrix: its float path convolves
+// directly, and with a GemmEngine (the systolic faulty-eval model) it
+// builds the matrix's per-row nonzero lists from the input. im2col stays
+// as the reference lowering both are tested against.
 
 #include "tensor/tensor.h"
 

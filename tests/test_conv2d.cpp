@@ -6,6 +6,8 @@
 
 #include "compute/gemm_kernels.h"
 #include "compute/thread_pool.h"
+#include "fault/fault_generator.h"
+#include "systolic/faulty_gemm.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/tensor_ops.h"
@@ -162,7 +164,7 @@ TEST(Conv2d, SpatialSizeChangeMidSequenceThrows) {
 // bits of the im2col + tensor::gemm / gemm_at_b / gemm_a_bt + col2im
 // lowering, spelled out here as the reference.
 
-enum class Input { kSpikes, kDenseSpikes, kPooled, kPixels };
+enum class Input { kSpikes, kDenseSpikes, kPooled, kPixels, kSignedZeros };
 
 tensor::Tensor make_input(Input kind, tensor::Shape shape, common::Rng& rng) {
   tensor::Tensor x(std::move(shape));
@@ -180,6 +182,12 @@ tensor::Tensor make_input(Input kind, tensor::Shape shape, common::Rng& rng) {
         break;
       case Input::kPixels:  // glyph pixels: background zeros, real strokes
         v = u < 0.6 ? 0.0f : static_cast<float>(rng.uniform(0.0, 1.0));
+        break;
+      case Input::kSignedZeros:  // spikes and rates among +0 and -0
+        v = u < 0.1   ? 1.0f
+            : u < 0.2 ? static_cast<float>(rng.uniform(0.0, 1.0))
+            : u < 0.6 ? -0.0f
+                      : 0.0f;
         break;
     }
   }
@@ -473,6 +481,184 @@ TEST(Conv2dDirect, BitwiseAcrossReusedBuffers) {
   EXPECT_TRUE(same_bits(y, ref.out[0]));
   make_sequence({Input::kSpikes, 3, 8, 8, 16, 3, 1}, rng, xs, gys);
   expect_same_sequence(conv, 1, xs, gys);
+}
+
+// ------------------------------------------- engine path vs the lowering
+//
+// With a GemmEngine the layer hands the engine the im2col matrix as
+// per-row nonzero lists. On the systolic engine that must give the bits
+// of tensor::im2col plus the dense engine.run on the serial reference
+// loop, and the same accumulate-step count.
+
+using Handling = systolic::SystolicGemmEngine::FaultHandling;
+
+// One fault-free, one corrupting and one bypassing engine per format on
+// an 8x8 array: every zoo K folds over several tiles or leaves padding
+// rows, and with Cout > 8 output columns fold onto the PE columns.
+struct Chip {
+  systolic::ArrayConfig cfg;
+  fault::FaultMap map{8, 8};
+  const fault::FaultMap* faults = nullptr;
+  Handling handling = Handling::kCorrupt;
+};
+
+std::vector<Chip> chips(const fx::FixedFormat& format, std::uint64_t seed) {
+  common::Rng rng(seed);
+  fault::FaultSpec spec;
+  spec.word_bits = format.total_bits();
+  spec.random_type = true;
+  spec.bits_per_pe = 2;
+  std::vector<Chip> out(3);
+  for (Chip& chip : out) {
+    chip.cfg.rows = chip.cfg.cols = 8;
+    chip.cfg.format = format;
+    chip.map = fault::random_fault_map(8, 8, 12, spec, rng);
+  }
+  out[1].faults = &out[1].map;
+  out[2].faults = &out[2].map;
+  out[2].handling = Handling::kBypass;
+  return out;
+}
+
+void expect_engine_bitwise(const Case& cs, const Chip& chip, int threads,
+                           std::uint64_t seed, float weight_scale = 1.0f) {
+  SCOPED_TRACE("input " + std::to_string(static_cast<int>(cs.input)) +
+               " n " + std::to_string(cs.n) + " cin " +
+               std::to_string(cs.cin) + " cout " + std::to_string(cs.cout) +
+               " size " + std::to_string(cs.size) + " kernel " +
+               std::to_string(cs.kernel) + " pad " + std::to_string(cs.pad) +
+               " " + chip.cfg.format.to_string() + " faults " +
+               std::to_string(chip.faults != nullptr) + " bypass " +
+               std::to_string(chip.handling == Handling::kBypass) +
+               " threads " + std::to_string(threads));
+  common::Rng rng(seed);
+  Conv2d conv("c", cs.cin, cs.cout, cs.kernel, cs.pad, rng);
+  for (auto& w : conv.weight_param().value) w *= weight_scale;
+  testutil::fill_random(conv.params()[1]->value, rng, -0.5, 0.5);
+  const tensor::Tensor x =
+      make_input(cs.input, {cs.n, cs.cin, cs.size, cs.size}, rng);
+
+  systolic::SystolicGemmEngine lists(chip.cfg, chip.faults, chip.handling);
+  lists.set_force_scalar(false);
+  lists.set_threads(threads);
+  conv.set_gemm_engine(&lists);
+  conv.reset_state();
+  const tensor::Tensor y = conv.forward(x, 0, Mode::kEval);
+
+  tensor::ConvGeometry g;
+  g.in_channels = cs.cin;
+  g.in_h = g.in_w = cs.size;
+  g.kernel_h = g.kernel_w = cs.kernel;
+  g.pad = cs.pad;
+  const int p = g.out_pixels();
+  const int k = g.patch_size();
+  const int m = cs.cout;
+  tensor::Tensor cols({cs.n * p, k});
+  for (int s = 0; s < cs.n; ++s) {
+    tensor::im2col(x.data() + static_cast<std::size_t>(s) * cs.cin *
+                                  cs.size * cs.size,
+                   g, cols.data() + static_cast<std::size_t>(s) * p * k);
+  }
+  systolic::SystolicGemmEngine dense(chip.cfg, chip.faults, chip.handling);
+  dense.set_force_scalar(true);
+  dense.set_threads(1);
+  tensor::Tensor prod({cs.n * p, m});
+  dense.run(cols.data(), conv.weight_param().value.data(), prod.data(),
+            cs.n * p, k, m, "c");
+  const tensor::Tensor& bias = conv.params()[1]->value;
+  tensor::Tensor ref(y.shape());
+  for (int s = 0; s < cs.n; ++s) {
+    for (int pix = 0; pix < p; ++pix) {
+      for (int co = 0; co < m; ++co) {
+        ref[(static_cast<std::size_t>(s) * m + co) * p + pix] =
+            prod[(static_cast<std::size_t>(s) * p + pix) * m + co] +
+            bias[static_cast<std::size_t>(co)];
+      }
+    }
+  }
+  EXPECT_TRUE(same_bits(y, ref));
+  EXPECT_EQ(lists.accumulate_steps(), dense.accumulate_steps());
+  EXPECT_EQ(lists.path_counts().reference_rows, 0u);
+}
+
+constexpr Input kEngineInputs[] = {Input::kSpikes, Input::kPooled,
+                                   Input::kPixels, Input::kSignedZeros};
+
+TEST(Conv2dEngine, SpikeListsMatchLoweringOnDigitGeometry) {
+  // SEncConv (1 or 2 channels of pixels/events), Conv1 (8 channels of
+  // spikes, 16x16) and Conv2 (pooled rates, 8x8).
+  std::uint64_t seed = 700;
+  for (const Chip& chip : chips(fx::FixedFormat::q8_8(), 70)) {
+    for (const Input input : kEngineInputs) {
+      for (const int cin : {1, 2, 8}) {
+        for (const int size : {16, 8}) {
+          expect_engine_bitwise({input, 2, cin, 8, size, 3, 1}, chip, 1,
+                                ++seed);
+        }
+      }
+    }
+  }
+}
+
+TEST(Conv2dEngine, SpikeListsMatchLoweringOnGestureGeometry) {
+  std::uint64_t seed = 800;
+  for (const Chip& chip : chips(fx::FixedFormat::q8_8(), 80)) {
+    for (const int size : {24, 12, 6, 3}) {
+      for (const Input input : kEngineInputs) {
+        expect_engine_bitwise({input, 2, 8, 8, size, 3, 1}, chip, 1, ++seed);
+      }
+    }
+    expect_engine_bitwise({Input::kSpikes, 2, 2, 8, 24, 3, 1}, chip, 1,
+                          ++seed);
+  }
+}
+
+TEST(Conv2dEngine, SpikeListsMatchLoweringAtEdges) {
+  // Padding 0/1/2, kernels 1/3/5, and Cout 5/8/10: the 8-column groups
+  // carry unused lanes past Cout.
+  std::uint64_t seed = 900;
+  for (const Chip& chip : chips(fx::FixedFormat::q8_8(), 90)) {
+    for (const Input input : kEngineInputs) {
+      for (const int cout : {5, 8, 10}) {
+        expect_engine_bitwise({input, 2, 3, cout, 7, 3, 0}, chip, 1, ++seed);
+        expect_engine_bitwise({input, 2, 3, cout, 7, 3, 2}, chip, 1, ++seed);
+        expect_engine_bitwise({input, 2, 2, cout, 9, 5, 2}, chip, 1, ++seed);
+        expect_engine_bitwise({input, 2, 2, cout, 5, 1, 0}, chip, 1, ++seed);
+      }
+    }
+  }
+}
+
+TEST(Conv2dEngine, SpikeListsMatchLoweringInEveryFormat) {
+  // Q16.16 with weights large enough that its sums saturate, and the
+  // narrow Q5.4 and Q0.7 where most accumulate chains saturate.
+  std::uint64_t seed = 1000;
+  const std::pair<fx::FixedFormat, float> formats[] = {
+      {fx::FixedFormat::q16_16(), 12000.0f},
+      {fx::FixedFormat(10, 4), 20.0f},
+      {fx::FixedFormat(8, 7), 1.0f}};
+  for (const auto& [format, scale] : formats) {
+    for (const Chip& chip : chips(format, seed)) {
+      for (const Input input : kEngineInputs) {
+        expect_engine_bitwise({input, 2, 8, 10, 8, 3, 1}, chip, 1, ++seed,
+                              scale);
+        expect_engine_bitwise({input, 2, 2, 5, 9, 5, 2}, chip, 1, ++seed,
+                              scale);
+      }
+    }
+  }
+}
+
+TEST(Conv2dEngine, SpikeListsMatchLoweringAtAnyThreadCount) {
+  std::uint64_t seed = 1100;
+  for (const int threads : {1, 3}) {
+    for (const Chip& chip : chips(fx::FixedFormat::q8_8(), 110)) {
+      for (const Input input : kEngineInputs) {
+        expect_engine_bitwise({input, 5, 8, 10, 16, 3, 1}, chip, threads,
+                              ++seed);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
-// Bit-identity of the vectorized saturation-free fast path against the
+// Bit-identity of the 8-lane fault-event kernel against the
 // forced-scalar reference (FALVOLT_FORCE_SCALAR / set_force_scalar):
 // the same engine must produce byte-for-byte identical output tables
-// and identical accumulate_steps telemetry on both paths, across fault
-// handling modes, fixed-point formats that straddle the overflow
-// headroom proof, folding/padding shapes, and activation kinds (binary
-// spikes, encoder pixels, average-pooled spike rates).
+// and identical accumulate_steps telemetry on both paths, with A given
+// dense (run) or as per-row nonzero lists (run_sparse), across fault
+// handling modes, saturating and non-saturating fixed-point formats,
+// folding/padding shapes, events on and between nonzero positions, and
+// activation kinds (binary spikes, encoder pixels, average-pooled spike
+// rates).
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "fault/fault_generator.h"
@@ -46,10 +49,10 @@ tensor::Tensor pooled_rates(int m, int k, common::Rng& rng) {
   return a;
 }
 
-// Run the case on a fresh engine twice — fast paths then forced-scalar —
-// and require byte-identical tables and equal step telemetry. Only the
-// forced run may use the serial reference loop. Returns the fast run's
-// path counts.
+// Run the case on a fresh engine — the kernel, then forced-scalar, then
+// the kernel again on the rows as nonzero lists — and require
+// byte-identical tables and equal step telemetry. Only the forced run may
+// use the serial reference loop. Returns the first run's path counts.
 SystolicGemmEngine::PathCounts expect_paths_identical(const PathCase& pc) {
   const int m = pc.a.shape()[0], k = pc.a.shape()[1], n = pc.w.shape()[1];
   SystolicGemmEngine engine(pc.cfg, pc.map, pc.handling);
@@ -72,7 +75,33 @@ SystolicGemmEngine::PathCounts expect_paths_identical(const PathCase& pc) {
   EXPECT_EQ(0, std::memcmp(c_vec.data(), c_ref.data(),
                            static_cast<std::size_t>(m) * n * sizeof(float)));
   EXPECT_EQ(vec_steps, ref_steps);
+
+  // The same rows as nonzero lists, through the kernel.
+  std::vector<int> row_ptr{0}, cols;
+  std::vector<float> vals;
+  for (int i = 0; i < m; ++i) {
+    for (int kk = 0; kk < k; ++kk) {
+      if (pc.a.at2(i, kk) == 0.0f) continue;
+      cols.push_back(kk);
+      vals.push_back(pc.a.at2(i, kk));
+    }
+    row_ptr.push_back(static_cast<int>(cols.size()));
+  }
+  tensor::Tensor c_list({m, n});
+  engine.set_force_scalar(false);
+  const std::uint64_t s2 = engine.accumulate_steps();
+  engine.run_sparse(row_ptr.data(), cols.data(), vals.data(), pc.w.data(),
+                    c_list.data(), m, k, n, "L");
+  EXPECT_EQ(0, std::memcmp(c_list.data(), c_ref.data(),
+                           static_cast<std::size_t>(m) * n * sizeof(float)));
+  EXPECT_EQ(engine.accumulate_steps() - s2, ref_steps);
   return fast;
+}
+
+fx::StuckBits stuck_bit(int bit, fx::StuckType type) {
+  fx::StuckBits bits;
+  bits.set(bit, type);
+  return bits;
 }
 
 TEST(FaultyGemmPaths, CleanChipBinarySpikes) {
@@ -108,9 +137,8 @@ TEST(FaultyGemmPaths, RandomFaultMapsCorruptAndBypass) {
 
 TEST(FaultyGemmPaths, NarrowFormatStraddlesHeadroomProof) {
   // 10-bit format, max_raw = 511: at k=100 binary spikes the |qweight|
-  // column sums routinely exceed the headroom bound, so some columns
-  // take the saturating reference while others pass the proof — the
-  // exact boundary the fast path must get right.
+  // column sums routinely exceed the raw bound, so some columns saturate
+  // mid-chain while others never do, side by side in one lane group.
   common::Rng rng(31);
   PathCase pc;
   pc.cfg.rows = pc.cfg.cols = 16;
@@ -121,8 +149,8 @@ TEST(FaultyGemmPaths, NarrowFormatStraddlesHeadroomProof) {
 }
 
 TEST(FaultyGemmPaths, DeliberatelySaturatingWeights) {
-  // Every column saturates: the headroom proof must reject them all and
-  // the result must still match the reference exactly.
+  // Every column saturates, most steps clamping: the lanes' add-then-
+  // clamp must match the reference's saturating add exactly.
   common::Rng rng(32);
   PathCase pc;
   pc.cfg.rows = pc.cfg.cols = 8;
@@ -205,7 +233,7 @@ TEST(FaultyGemmPaths, PooledRateRowsMixZerosOnesAndRates) {
   // A row of only zeros and ones is binary; with 36 draws from five
   // values every row here holds a real rate.
   EXPECT_EQ(fast.real_rows, 12u);
-  EXPECT_EQ(fast.vector_cols + fast.scalar_cols + fast.fallback_cols, 0u);
+  EXPECT_EQ(fast.vector_rows + fast.scalar_rows, 12u);
 }
 
 TEST(FaultyGemmPaths, PooledRateRowsWorstCaseFaultsFolding) {
@@ -260,8 +288,8 @@ TEST(FaultyGemmPaths, MixedBinaryAndRealRows) {
 }
 
 TEST(FaultyGemmPaths, WideNExercisesSimdGroupsAndTail) {
-  // n = 27: three full 8-column SIMD groups plus a 3-column tail, with
-  // output columns folding onto 8 PE columns.
+  // n = 27: three full 8-column groups plus one with 3 of its lanes in
+  // use, with output columns folding onto 8 PE columns.
   common::Rng rng(38);
   ArrayConfig cfg;
   cfg.rows = cfg.cols = 8;
@@ -273,6 +301,99 @@ TEST(FaultyGemmPaths, WideNExercisesSimdGroupsAndTail) {
   pc.a = random_spikes(14, 32, rng);
   pc.w = random_tensor({32, 27}, rng, -0.5, 0.5);
   expect_paths_identical(pc);
+}
+
+TEST(FaultyGemmPaths, EventsOnSpikePositionsAndSharedByLanes) {
+  // Rows whose nonzeros sit exactly on faulty positions (the add comes
+  // before the corruption there) and between them, with several lanes of
+  // one 8-column group faulty at the same position and lanes with
+  // different events at one position.
+  ArrayConfig cfg;
+  cfg.rows = cfg.cols = 8;
+  fault::FaultMap map(8, 8);
+  for (const int col : {0, 2, 5, 7}) {
+    map.add(3, col, stuck_bit(14, fx::StuckType::kStuckAt1));
+  }
+  map.add(3, 1, stuck_bit(13, fx::StuckType::kStuckAt0));
+  map.add(5, 1, stuck_bit(9, fx::StuckType::kStuckAt1));
+  map.add(0, 4, stuck_bit(15, fx::StuckType::kStuckAt1));
+  map.add(7, 6, stuck_bit(2, fx::StuckType::kStuckAt0));
+  common::Rng rng(45);
+  PathCase pc;
+  pc.cfg = cfg;
+  pc.map = &map;
+  pc.a = tensor::Tensor({6, 20});
+  // Spikes on the faulty positions 3, 11 (3 + 8), 0, 16 and 5, a pooled
+  // rate on 13, and rows with nothing, everything, or nothing faulty.
+  for (const int kk : {3, 11}) pc.a.at2(0, kk) = 1.0f;
+  for (const int kk : {0, 3, 5, 16}) pc.a.at2(1, kk) = 1.0f;
+  pc.a.at2(1, 13) = 0.75f;
+  for (const int kk : {1, 2, 4, 9}) pc.a.at2(2, kk) = 1.0f;
+  for (int kk = 0; kk < 20; ++kk) pc.a.at2(4, kk) = 1.0f;
+  for (int kk = 0; kk < 20; ++kk) pc.a.at2(5, kk) = kk % 3 == 0 ? 0.5f : 0.0f;
+  pc.w = random_tensor({20, 13}, rng, -0.9, 0.9);
+  expect_paths_identical(pc);
+  // A strongly negative sum, so the sign-bit events flip it.
+  pc.w = random_tensor({20, 13}, rng, -0.9, -0.4);
+  expect_paths_identical(pc);
+}
+
+TEST(FaultyGemmPaths, EventsInPaddingRowsAfterTheLastNonzero) {
+  // k = 5 on an 8x8 array: positions 5..7 are padding rows. Every lane of
+  // the first group has an event there, some at the same position, and
+  // a second fold (k = 13) puts padding events behind a real tile.
+  ArrayConfig cfg;
+  cfg.rows = cfg.cols = 8;
+  fault::FaultMap map(8, 8);
+  for (int col = 0; col < 8; ++col) {
+    map.add(5 + col % 3, col,
+            stuck_bit(col % 2 ? 15 : 6, col % 4 < 2 ? fx::StuckType::kStuckAt1
+                                                    : fx::StuckType::kStuckAt0));
+  }
+  map.add(2, 3, stuck_bit(12, fx::StuckType::kStuckAt1));
+  common::Rng rng(46);
+  for (const int k : {5, 13}) {
+    PathCase pc;
+    pc.cfg = cfg;
+    pc.map = &map;
+    pc.a = random_spikes(9, k, rng, 0.5);
+    for (int kk = 0; kk < k; ++kk) pc.a.at2(0, kk) = 0.0f;  // empty row
+    pc.w = random_tensor({k, 11}, rng, -0.6, 0.6);
+    expect_paths_identical(pc);
+    pc.handling = SystolicGemmEngine::FaultHandling::kBypass;
+    expect_paths_identical(pc);
+  }
+}
+
+TEST(FaultyGemmPaths, Q16_16SaturatesOnAddAndMultiply) {
+  // Q16.16 (max 32768): weights near 20000 overflow the add after two
+  // spikes, and activations above 1 push single products past the bound,
+  // with sign-bit and low-bit faults on top. Words this wide take the
+  // lanes with the format's own add and multiply.
+  common::Rng rng(47);
+  ArrayConfig cfg;
+  cfg.rows = cfg.cols = 8;
+  cfg.format = fx::FixedFormat::q16_16();
+  fault::FaultSpec spec;
+  spec.word_bits = 32;
+  spec.random_type = true;
+  spec.bits_per_pe = 2;
+  const fault::FaultMap map = fault::random_fault_map(8, 8, 10, spec, rng);
+  for (const auto handling : {SystolicGemmEngine::FaultHandling::kCorrupt,
+                              SystolicGemmEngine::FaultHandling::kBypass}) {
+    PathCase pc;
+    pc.cfg = cfg;
+    pc.map = &map;
+    pc.handling = handling;
+    pc.a = random_spikes(8, 24, rng, 0.6);
+    for (int kk = 0; kk < 24; kk += 3) pc.a.at2(2, kk) = 3.5f;
+    for (int kk = 1; kk < 24; kk += 2) pc.a.at2(5, kk) = -2.25f;
+    pc.a.at2(6, 7) = 40000.0f;  // quantizes to the format's max
+    pc.w = random_tensor({24, 10}, rng, -25000.0, 25000.0);
+    const SystolicGemmEngine::PathCounts fast = expect_paths_identical(pc);
+    EXPECT_EQ(fast.scalar_rows, 8u);
+    EXPECT_EQ(fast.real_rows, 3u);
+  }
 }
 
 TEST(FaultyGemmPaths, ForceScalarEnvPickup) {
@@ -299,7 +420,7 @@ TEST(FaultyGemmPaths, ThreadedRunMatchesSerialOnBothPaths) {
   cfg.rows = cfg.cols = 8;
   const fault::FaultMap map = fault::random_fault_map(
       8, 8, 5, fault::worst_case_spec(cfg.format.total_bits()), rng);
-  // Binary spike rows, then pooled-rate rows (the real-row path).
+  // Binary spike rows, then pooled-rate rows (multiplying lanes).
   for (const tensor::Tensor& a :
        {random_spikes(33, 40, rng), pooled_rates(33, 40, rng)}) {
     const tensor::Tensor w = random_tensor({40, 12}, rng, -0.5, 0.5);
