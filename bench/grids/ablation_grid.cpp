@@ -31,8 +31,7 @@ namespace {
 double retrain_custom(snn::Network& net, const data::DatasetSplit& data,
                       const fault::FaultMap& map, int epochs, bool train_vth,
                       bool tie_vth, bool rezero_each_epoch) {
-  fault::NetworkPruner pruner(net, map);
-  pruner.apply(net);
+  fault::NetworkPruner pruner = core::prune_network(net, map);
   for (snn::Plif* p : net.hidden_spiking_layers()) {
     p->set_vth(1.0f);
     p->set_train_vth(train_vth);
@@ -43,6 +42,7 @@ double retrain_custom(snn::Network& net, const data::DatasetSplit& data,
   tc.epochs = epochs;
   tc.batch_size = 32;
   tc.eval_each_epoch = false;
+  tc.epoch_span = "retrain.epoch";
   const int decay_epoch = (3 * epochs) / 5;
   tc.on_epoch = [&opt, decay_epoch](const snn::EpochStats& s) {
     if (s.epoch + 1 == decay_epoch) opt.set_lr(kLr / 4.0);
@@ -61,7 +61,7 @@ double retrain_custom(snn::Network& net, const data::DatasetSplit& data,
   trainer.run();
   pruner.apply(net);  // final re-zero (hardware bypass is mandatory)
   net.set_train_vth(false);
-  return snn::evaluate(net, data.test);
+  return core::evaluate_pruned(net, data.test);
 }
 
 struct Arm {

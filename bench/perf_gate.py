@@ -16,6 +16,8 @@ What is gated vs what is only reported:
   run on the same machine in the same job, so a ratio dropping by more
   than --tolerance (default 25%) means the fast path itself regressed,
   not that CI got a slower runner.
+* REFUSED (exit 2): a current summary whose "threads" differs from the
+  baseline's; rerun micro_kernels with --threads=<baseline threads>.
 * REPORTED (warn only, gated with --strict): absolute milliseconds and
   fleet wall-clock seconds. CI runner hardware varies run to run, so
   absolute times are tracked in the artifact trajectory but do not
@@ -24,7 +26,7 @@ What is gated vs what is only reported:
 Baseline update procedure (documented in README.md "Performance"):
 after an intentional perf change, regenerate with
   build/bench/micro_kernels --out_dir=bench_out --json=BENCH_6.json \
-      --benchmark_filter='^$'
+      --threads=1 --benchmark_filter='^$'
 and commit bench_out/BENCH_6.json to bench/baselines/BENCH_6.json in
 the same PR as the change, noting the measured before/after in the PR
 description.
@@ -37,7 +39,7 @@ import sys
 BASELINE_HELP = """\
 baseline update procedure (after an INTENTIONAL perf change):
   1. build/bench/micro_kernels --out_dir=bench_out --json=BENCH_6.json \\
-         --benchmark_filter='^$'
+         --threads=1 --benchmark_filter='^$'
   2. cp bench_out/BENCH_6.json bench/baselines/BENCH_6.json
   3. commit the new baseline in the SAME PR as the perf change, noting
      the measured before/after ratios in the PR description.
@@ -147,6 +149,15 @@ def main():
 
     cur = load(args.current, "current")
     base = load(args.baseline, "baseline")
+    # A speedup ratio depends on the thread count its rows ran at (a
+    # multi-threaded run adds pool hand-offs to every row), so ratios
+    # measured at different counts are not comparable.
+    if cur.get("threads") != base.get("threads"):
+        print(f"perf_gate: current summary ran at threads="
+              f"{cur.get('threads')} but the baseline at threads="
+              f"{base.get('threads')} — rerun micro_kernels with "
+              f"--threads={base.get('threads')}", file=sys.stderr)
+        return 2
 
     if args.fleet_json:
         fleet = load(args.fleet_json, "fleet")

@@ -84,6 +84,10 @@ std::map<std::string, std::vector<std::string>> parse_overrides(
   return out;
 }
 
+// Started during static initialization, before main: run.wall_seconds
+// counts from process start, baseline training and table output included.
+const common::Timer g_process_timer;
+
 // One grid, fully resolved from the fleet command line.
 struct FleetGridSpec {
   const core::GridDef* def = nullptr;
@@ -400,12 +404,14 @@ int main(int argc, char** argv) try {
   if (!cli.get_string("json").empty()) {
     std::ostringstream out;
     // total_seconds is the cell phase, the time worker utilization is a
-    // share of; baseline_seconds is the baseline phase before it.
+    // share of; baseline_seconds is the baseline phase before it;
+    // wall_seconds is the whole process so far, from its start.
     out << "{\n  \"driver\": \"sweep_fleet\",\n  \"store\": \""
         << common::json_escape(store_dir)
         << "\",\n  \"run\": {\"workers\": " << run_workers
         << ", \"total_seconds\": " << total_seconds
         << ", \"baseline_seconds\": " << fleet.baseline_seconds()
+        << ", \"wall_seconds\": " << g_process_timer.seconds()
         << ", \"cells_computed\": " << computed
         << ", \"cells_cached\": " << cached
         << ", \"cells_absent\": " << absent << "},\n  \"workers\": [\n";

@@ -9,10 +9,9 @@ MitigationResult run_fap(snn::Network& net, const fault::FaultMap& map,
   common::Timer timer;
   MitigationResult res;
   res.method = "FaP";
-  fault::NetworkPruner pruner(net, map);
-  pruner.apply(net);
+  fault::NetworkPruner pruner = prune_network(net, map);
   res.prune_report = pruner.report();
-  res.pruned_accuracy = snn::evaluate(net, test);
+  res.pruned_accuracy = evaluate_pruned(net, test);
   res.final_accuracy = res.pruned_accuracy;
   res.vth_per_layer = collect_vth(net);
   res.seconds = timer.seconds();

@@ -1,5 +1,7 @@
 #include "core/mitigation.h"
 
+#include "obs/trace.h"
+
 namespace falvolt::core {
 
 int MitigationResult::epochs_to_reach(double target) const {
@@ -14,6 +16,7 @@ double evaluate_with_faults(snn::Network& net, const data::Dataset& test,
                             const fault::FaultMap& map,
                             systolic::SystolicGemmEngine::FaultHandling
                                 handling) {
+  obs::TraceSpan span("phase", "faulty_eval");
   systolic::SystolicGemmEngine engine(array, &map, handling);
   net.set_gemm_engine(&engine);
   const double acc = snn::evaluate(net, test);
@@ -26,11 +29,25 @@ double evaluate_with_faults(snn::Network& net, const snn::EvalBatch& test,
                             const fault::FaultMap& map,
                             systolic::SystolicGemmEngine::FaultHandling
                                 handling) {
+  obs::TraceSpan span("phase", "faulty_eval");
   systolic::SystolicGemmEngine engine(array, &map, handling);
   net.set_gemm_engine(&engine);
   const double acc = snn::evaluate(net, test);
   net.set_gemm_engine(nullptr);
   return acc;
+}
+
+fault::NetworkPruner prune_network(snn::Network& net,
+                                  const fault::FaultMap& map) {
+  obs::TraceSpan span("phase", "prune");
+  fault::NetworkPruner pruner(net, map);
+  pruner.apply(net);
+  return pruner;
+}
+
+double evaluate_pruned(snn::Network& net, const data::Dataset& test) {
+  obs::TraceSpan span("phase", "faulty_eval");
+  return snn::evaluate(net, test);
 }
 
 std::vector<VthEntry> collect_vth(snn::Network& net) {

@@ -91,6 +91,16 @@ double evaluate_with_faults(snn::Network& net, const snn::EvalBatch& test,
                             systolic::SystolicGemmEngine::FaultHandling
                                 handling);
 
+/// Fault-aware pruning (Algorithm 1 lines 1-2): build the masks of the
+/// weights mapped to faulty PEs and zero them, in a "prune" trace span.
+/// The returned pruner re-zeroes them after each retraining epoch.
+fault::NetworkPruner prune_network(snn::Network& net,
+                                   const fault::FaultMap& map);
+
+/// Accuracy of a pruned network, i.e. of the chip with its faulty PEs
+/// bypassed, in a "faulty_eval" trace span (as is evaluate_with_faults).
+double evaluate_pruned(snn::Network& net, const data::Dataset& test);
+
 /// Read the current V_th of every hidden spiking layer.
 std::vector<VthEntry> collect_vth(snn::Network& net);
 

@@ -16,10 +16,9 @@ MitigationResult run_fault_aware_retraining(
   res.method = method_name;
 
   // Algorithm 1 lines 1-2: prune weights mapped to faulty PEs.
-  fault::NetworkPruner pruner(net, map);
-  pruner.apply(net);
+  fault::NetworkPruner pruner = prune_network(net, map);
   res.prune_report = pruner.report();
-  res.pruned_accuracy = snn::evaluate(net, test);
+  res.pruned_accuracy = evaluate_pruned(net, test);
 
   // Line 3: initialize the retraining threshold voltage on every hidden
   // spiking layer, and make it trainable for FalVolt only.
@@ -35,6 +34,7 @@ MitigationResult run_fault_aware_retraining(
   tc.batch_size = cfg.batch_size;
   tc.shuffle_seed = cfg.seed;
   tc.eval_each_epoch = cfg.eval_each_epoch;
+  tc.epoch_span = "retrain.epoch";
   tc.post_epoch = [&pruner](snn::Network& n) { pruner.apply(n); };
   const int decay_epoch = static_cast<int>(cfg.lr_decay_fraction *
                                            cfg.retrain_epochs);
@@ -47,7 +47,7 @@ MitigationResult run_fault_aware_retraining(
   res.curve = trainer.run();
 
   // Line 15: final inference accuracy with the new weights.
-  res.final_accuracy = snn::evaluate(net, test);
+  res.final_accuracy = evaluate_pruned(net, test);
   res.best_accuracy = res.final_accuracy;
   for (const snn::EpochStats& s : res.curve) {
     if (!std::isnan(s.test_accuracy) && s.test_accuracy > res.best_accuracy) {

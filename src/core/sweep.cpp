@@ -846,7 +846,10 @@ std::vector<ResultTable> FleetRunner::run() {
     // One span per computed cell, on the claiming worker's track; the
     // args are exactly what an operator needs to find the cell again
     // (bench, key, fingerprint prefix) plus the schedule facts (worker,
-    // cached=false — cached cells replay during triage, not here).
+    // cached=false — cached cells replay during triage, not here) and
+    // whether it retrains (for how many epochs). Its "eval" child holds
+    // the phase spans: prune, retrain.epoch (one per epoch) and
+    // faulty_eval.
     obs::TraceSpan cell_span("sweep", "cell");
     if (obs::trace_enabled()) {
       cell_span.arg("bench", st.label);
@@ -856,6 +859,8 @@ std::vector<ResultTable> FleetRunner::run() {
       }
       cell_span.arg("worker", worker);
       cell_span.arg("cached", false);
+      cell_span.arg("retrain", scenario.retrain);
+      if (scenario.retrain) cell_span.arg("epochs", scenario.epochs);
     }
     common::Timer t;
     const char* status = "";

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "common/timer.h"
+#include "obs/trace.h"
 #include "snn/loss.h"
 #include "tensor/tensor_ops.h"
 
@@ -114,6 +115,8 @@ std::vector<EpochStats> Trainer::run() {
     common::Timer timer;
     EpochStats s;
     s.epoch = epoch_index_++;
+    obs::TraceSpan span("phase", cfg_.epoch_span);
+    span.arg("epoch", s.epoch);
     s.train_loss = run_epoch();
     if (cfg_.post_epoch) cfg_.post_epoch(net_);
     s.test_accuracy = (cfg_.eval_each_epoch && test_)

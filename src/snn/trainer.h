@@ -30,6 +30,10 @@ struct TrainConfig {
   std::function<void(Network&)> post_epoch;
   /// Observation hook (convergence curves).
   std::function<void(const EpochStats&)> on_epoch;
+  /// Name of the trace span around each epoch (training, post_epoch and
+  /// the per-epoch evaluation); fault-aware retraining uses
+  /// "retrain.epoch". A string literal.
+  const char* epoch_span = "train.epoch";
 };
 
 /// Runs BPTT epochs over a training set.

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "core/fap.h"
 #include "data/synthetic_mnist.h"
 #include "fault/fault_generator.h"
+#include "obs/trace.h"
 #include "snn/model_zoo.h"
 #include "snn/optimizer.h"
 #include "snn/trainer.h"
@@ -120,6 +126,51 @@ TEST(FaPIT, KeepsVthFixed) {
   EXPECT_EQ(r.method, "FaPIT");
   for (const auto& v : r.vth_per_layer) {
     EXPECT_FLOAT_EQ(v.vth, 1.0f);
+  }
+}
+
+// Complete events named `name` in a Chrome trace file's text.
+int count_spans(const std::string& body, const std::string& name) {
+  const std::string needle = "{\"name\": \"" + name + "\"";
+  int n = 0;
+  for (std::size_t at = body.find(needle); at != std::string::npos;
+       at = body.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(FalVolt, TracesPhasesWithoutChangingResults) {
+  Fixture& f = fixture();  // trains the baseline before tracing starts
+  common::Rng rng(5);
+  const fault::FaultMap map = fault::fault_map_at_rate(
+      16, 16, 0.3, fault::worst_case_spec(16), rng);
+  snn::Network plain = f.fresh_copy();
+  const MitigationResult want =
+      run_falvolt(plain, map, f.split.train, f.split.test, cfg16(2));
+
+  const std::string path = ::testing::TempDir() + "falvolt_phases.json";
+  obs::trace_start(path);
+  snn::Network traced = f.fresh_copy();
+  const MitigationResult got =
+      run_falvolt(traced, map, f.split.train, f.split.test, cfg16(2));
+  obs::trace_stop();
+  std::ifstream in(path);
+  std::stringstream body;
+  body << in.rdbuf();
+  std::remove(path.c_str());
+
+  // One prune, one span per retraining epoch, and the pruned and final
+  // evaluations.
+  EXPECT_EQ(count_spans(body.str(), "prune"), 1);
+  EXPECT_EQ(count_spans(body.str(), "retrain.epoch"), 2);
+  EXPECT_EQ(count_spans(body.str(), "faulty_eval"), 2);
+  EXPECT_EQ(count_spans(body.str(), "train.epoch"), 0);
+  EXPECT_EQ(got.final_accuracy, want.final_accuracy);
+  EXPECT_EQ(got.best_accuracy, want.best_accuracy);
+  ASSERT_EQ(got.vth_per_layer.size(), want.vth_per_layer.size());
+  for (std::size_t i = 0; i < want.vth_per_layer.size(); ++i) {
+    EXPECT_EQ(got.vth_per_layer[i].vth, want.vth_per_layer[i].vth);
   }
 }
 
